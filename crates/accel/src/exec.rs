@@ -66,7 +66,7 @@ pub struct FunctionalResult {
     /// Bit faults injected over the run — on buffer reads, and on late
     /// refreshes that lock corrupted bits in (each decayed bit counted
     /// once, at the access that first resolves it).
-    pub faults: u32,
+    pub faults: u64,
     /// Buffer words read by the compute (refresh resolutions excluded).
     /// `faults / (reads × 16)` is the realized per-bit failure rate the
     /// thermal-adaptive validation path checks against the Stage-1 target.

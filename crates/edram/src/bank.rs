@@ -11,9 +11,30 @@
 //! Time is carried explicitly by the caller in microseconds, so the model
 //! works both for the cycle simulator (which converts cycles to µs) and for
 //! standalone fault-injection studies.
+//!
+//! Retention failures come from a sparse set of weak cells (the tail of
+//! paper Fig. 8), so the array keeps a one-bit-per-word *weak-cell map*:
+//! a word's bit is set iff one of its cells has a failure quantile below
+//! a fixed threshold of 10⁻³. A cell fails only when its quantile is below
+//! the current failure rate, so while the rate stays under the threshold
+//! a word whose bit is clear cannot flip: reads copy it and refreshes only
+//! restamp it, and only the ~1.6 % weak words pay the per-cell check.
+//! Rates at or above the threshold take the per-cell path for every word,
+//! so results are bit-identical to checking every cell. The map is built
+//! on the first resolution at a non-negligible rate, so arrays that never
+//! age (the Ideal buffer) never build it.
 
 use crate::retention::RetentionDistribution;
 use crate::stats::MemoryStats;
+
+/// Per-bit failure rates at or below this are treated as zero — even a
+/// billion bit reads would expect no flip.
+const NEGLIGIBLE_RATE: f64 = 1e-9;
+
+/// Failure-quantile threshold of the weak-cell map: a word is weak iff
+/// one of its cells has a quantile below this, about 1.6 % of words. Below
+/// this rate only weak words can decay.
+const WEAK_RATE: f64 = 1e-3;
 
 /// A banked eDRAM array with per-word write timestamps.
 ///
@@ -43,6 +64,9 @@ pub struct EdramArray {
     /// log-space interpolation cost.
     cached_age: f64,
     cached_rate: f64,
+    /// Weak-cell map, one bit per word (see the module docs); empty until
+    /// the first resolution at a non-negligible failure rate.
+    weak: Vec<u64>,
 }
 
 impl EdramArray {
@@ -69,6 +93,7 @@ impl EdramArray {
             stats: MemoryStats::default(),
             cached_age: f64::NAN,
             cached_rate: 0.0,
+            weak: Vec::new(),
         }
     }
 
@@ -129,7 +154,7 @@ impl EdramArray {
     pub fn read(&mut self, addr: usize, now_us: f64) -> i16 {
         self.stats.reads += 1;
         let (value, faults) = self.resolve(addr, now_us);
-        self.stats.faults += faults;
+        self.stats.faults += u64::from(faults);
         value
     }
 
@@ -145,7 +170,9 @@ impl EdramArray {
     /// decay resolution is deterministic and side-effect free, so the
     /// values, fault counts, and read counts are identical — but the
     /// age → failure-rate lookup is resolved once per run of words sharing
-    /// a write timestamp, and young runs are copied wholesale.
+    /// a write timestamp. Below the weak-cell threshold a run is copied
+    /// wholesale and only its weak words are resolved cell by cell (see
+    /// the module docs for why that is exact).
     ///
     /// ```
     /// use rana_edram::{EdramArray, RetentionDistribution};
@@ -212,25 +239,13 @@ impl EdramArray {
         let acc_reads = |m: Option<&[u64]>, i: usize| m.map_or(1, |m| m[i]).wrapping_mul(scale);
         let mut i = 0;
         while i < n {
-            // Maximal run sharing one write timestamp (NEG_INFINITY ==
-            // NEG_INFINITY, so never-written runs group too).
-            let wa = self.written_at[addr + i];
-            let mut j = i + 1;
-            while j < n && self.written_at[addr + j] == wa {
-                j += 1;
-            }
-            let age = now_us - wa;
-            let rate = if age <= 0.0 { 0.0 } else { self.rate_for(age) };
-            if rate <= 1e-9 {
-                out[i..j].copy_from_slice(&self.words[addr + i..addr + j]);
-            } else {
-                for (off, o) in out[i..j].iter_mut().enumerate() {
-                    let t = i + off;
-                    let (value, faults) = self.resolve(addr + t, now_us);
-                    *o = value;
-                    self.stats.faults += (u64::from(faults) * acc_reads(mult, t)) as u32;
-                }
-            }
+            let j = self.run_end(addr + i, addr + n) - addr;
+            let rate = self.rate_at(addr + i, now_us);
+            out[i..j].copy_from_slice(&self.words[addr + i..addr + j]);
+            self.for_each_decaying(addr + i, addr + j, rate, |mem, a, value, faults| {
+                out[a - addr] = value;
+                mem.stats.faults += u64::from(faults) * acc_reads(mult, a - addr);
+            });
             for t in i..j {
                 self.stats.reads += acc_reads(mult, t);
             }
@@ -241,16 +256,26 @@ impl EdramArray {
     /// Refreshes one bank: every word is resolved at `now_us` (late
     /// refreshes lock corrupted bits in) and re-written. Returns the number
     /// of refreshed words.
+    ///
+    /// Runs of words sharing a write timestamp are handled together, and
+    /// only the words that can decay are resolved; below the weak-cell
+    /// threshold the rest are just restamped.
     pub fn refresh_bank(&mut self, bank: usize, now_us: f64) -> usize {
         assert!(bank < self.num_banks, "bank {bank} out of range");
         let start = bank * self.bank_words;
-        for addr in start..start + self.bank_words {
-            if self.written_at[addr] != f64::NEG_INFINITY {
-                let (value, faults) = self.resolve(addr, now_us);
-                self.words[addr] = value;
-                self.written_at[addr] = now_us;
-                self.stats.faults += faults;
+        let end = start + self.bank_words;
+        let mut i = start;
+        while i < end {
+            let j = self.run_end(i, end);
+            if self.written_at[i] != f64::NEG_INFINITY {
+                let rate = self.rate_at(i, now_us);
+                self.for_each_decaying(i, j, rate, |mem, a, value, faults| {
+                    mem.words[a] = value;
+                    mem.stats.faults += u64::from(faults);
+                });
+                self.written_at[i..j].fill(now_us);
             }
+            i = j;
         }
         self.stats.refresh_words += self.bank_words as u64;
         self.bank_words
@@ -259,18 +284,63 @@ impl EdramArray {
     /// Resolves the current value of `addr` at `now_us` without counting a
     /// read: applies a random value to every bit whose cell has aged past
     /// its retention time. Returns `(value, corrupted_bit_count)`.
-    ///
-    /// Rates below 10⁻⁹ per bit are treated as zero — even a billion bit
-    /// reads would expect no flip — which keeps young-data reads cheap.
     fn resolve(&mut self, addr: usize, now_us: f64) -> (i16, u32) {
-        let age = now_us - self.written_at[addr];
-        if age <= 0.0 {
+        let rate = self.rate_at(addr, now_us);
+        if rate <= NEGLIGIBLE_RATE {
             return (self.words[addr], 0);
         }
-        let rate = self.rate_for(age);
-        if rate <= 1e-9 {
+        self.ensure_weak_map();
+        if rate < WEAK_RATE && !is_weak(&self.weak, addr) {
             return (self.words[addr], 0);
         }
+        self.decay(addr, rate)
+    }
+
+    /// Calls `f(self, addr, value, faults)` with the resolved value of
+    /// every word of the run `[lo, hi)` (one write timestamp) that can
+    /// read back differently at failure rate `rate`: none at a negligible
+    /// rate, the weak words below the weak-cell threshold, all of them
+    /// above it.
+    fn for_each_decaying(
+        &mut self,
+        lo: usize,
+        hi: usize,
+        rate: f64,
+        mut f: impl FnMut(&mut Self, usize, i16, u32),
+    ) {
+        if rate <= NEGLIGIBLE_RATE {
+            return;
+        }
+        if rate >= WEAK_RATE {
+            for addr in lo..hi {
+                let (value, faults) = self.decay(addr, rate);
+                f(self, addr, value, faults);
+            }
+            return;
+        }
+        self.ensure_weak_map();
+        for chunk in lo / 64..hi.div_ceil(64) {
+            let base = chunk * 64;
+            let mut bits = self.weak[chunk];
+            if base < lo {
+                bits &= !0 << (lo - base);
+            }
+            if base + 64 > hi {
+                bits &= !0 >> (base + 64 - hi);
+            }
+            while bits != 0 {
+                let addr = base + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                let (value, faults) = self.decay(addr, rate);
+                f(self, addr, value, faults);
+            }
+        }
+    }
+
+    /// The per-cell check of the word at `addr` at failure rate `rate`:
+    /// every cell whose quantile is below `rate` reads a random bit.
+    /// Returns `(value, corrupted_bit_count)`.
+    fn decay(&self, addr: usize, rate: f64) -> (i16, u32) {
         let mut value = self.words[addr] as u16;
         let mut faults = 0;
         // A write epoch keys the "random" value a failed cell reads, so two
@@ -291,6 +361,50 @@ impl EdramArray {
         }
         (value as i16, faults)
     }
+
+    /// End of the maximal run of words from `addr` (exclusive, at most
+    /// `limit`) sharing `addr`'s write timestamp. `NEG_INFINITY ==
+    /// NEG_INFINITY`, so never-written runs group too.
+    fn run_end(&self, addr: usize, limit: usize) -> usize {
+        let wa = self.written_at[addr];
+        let rest = &self.written_at[addr..limit];
+        // Whole blocks first: a branch-free compare per block vectorizes.
+        let blocks = rest
+            .chunks_exact(8)
+            .take_while(|c| c.iter().fold(true, |eq, &w| eq & (w == wa)))
+            .count();
+        let full = blocks * 8;
+        addr + full + rest[full..].iter().take_while(|&&w| w == wa).count()
+    }
+
+    /// Failure rate of the word at `addr` when read at `now_us`; 0 for
+    /// data written at or after `now_us`.
+    fn rate_at(&mut self, addr: usize, now_us: f64) -> f64 {
+        let age = now_us - self.written_at[addr];
+        if age <= 0.0 {
+            0.0
+        } else {
+            self.rate_for(age)
+        }
+    }
+
+    /// Builds the weak-cell map on first use.
+    fn ensure_weak_map(&mut self) {
+        if self.weak.is_empty() {
+            // `hash01(..) < WEAK_RATE` on the integer hash: the quantile
+            // is `bits / 2⁵³` exactly, so this comparison is the same.
+            let threshold = (WEAK_RATE * (1u64 << 53) as f64).ceil() as u64;
+            let mut map = vec![0u64; self.words.len().div_ceil(64)];
+            for addr in 0..self.words.len() {
+                if (0..16)
+                    .fold(false, |w, bit| w | (hash_bits(self.seed, addr as u64, bit) < threshold))
+                {
+                    map[addr / 64] |= 1 << (addr % 64);
+                }
+            }
+            self.weak = map;
+        }
+    }
 }
 
 impl EdramArray {
@@ -309,8 +423,18 @@ impl EdramArray {
     }
 }
 
+/// Whether word `addr` is set in the weak-cell map.
+fn is_weak(weak: &[u64], addr: usize) -> bool {
+    weak[addr / 64] >> (addr % 64) & 1 != 0
+}
+
 /// SplitMix64-style hash of three values onto `[0, 1)`.
 fn hash01(a: u64, b: u64, c: u64) -> f64 {
+    hash_bits(a, b, c) as f64 / (1u64 << 53) as f64
+}
+
+/// The 53 hash bits behind [`hash01`].
+fn hash_bits(a: u64, b: u64, c: u64) -> u64 {
     let mut z = a
         .wrapping_mul(0x9E37_79B9_7F4A_7C15)
         .wrapping_add(b.wrapping_mul(0xBF58_476D_1CE4_E5B9))
@@ -320,7 +444,7 @@ fn hash01(a: u64, b: u64, c: u64) -> f64 {
     z ^= z >> 27;
     z = z.wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^= z >> 31;
-    (z >> 11) as f64 / (1u64 << 53) as f64
+    z >> 11
 }
 
 #[cfg(test)]

@@ -13,9 +13,10 @@ fmt:
 build:
     cargo build --release --workspace
 
-# Tier-1 test suite only.
+# Tier-1 test suite plus the eDRAM and engine unit tests.
 test:
     cargo test -q
+    cargo test -q -p rana-edram -p rana-accel
 
 # Lint gate (same flags as `just check`).
 clippy:
