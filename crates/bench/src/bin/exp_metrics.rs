@@ -1,7 +1,7 @@
 //! Metrics experiment — the `rana-metrics` layer end to end.
 //!
-//! Runs two workloads inside one global metrics session, with a
-//! [`TraceBridge`] sink attached so every trace event is folded into the
+//! Runs two workloads inside one metrics session, each under a trace
+//! session on the same thread so every trace event is folded into the
 //! registry as it is emitted:
 //!
 //! 1. an AlexNet design sweep (all six Table IV designs through one
@@ -25,8 +25,8 @@
 use rana_bench::{banner, seed_from_env, write_csv};
 use rana_core::designs::Design;
 use rana_core::evaluate::Evaluator;
-use rana_core::metrics::{MetricKey, MetricsSession, Registry, SloReport, TraceBridge};
-use rana_core::trace::Session;
+use rana_core::metrics::{MetricKey, MetricsSession, Registry, SloReport};
+use rana_core::trace::{Session, TraceConfig};
 use rana_serve::{ServeConfig, Server, TenantSpec, TrafficModel};
 use std::path::PathBuf;
 
@@ -46,7 +46,7 @@ fn results_path(name: &str) -> PathBuf {
 fn run_sweep() {
     let eval = Evaluator::paper_platform();
     let net = rana_zoo::alexnet();
-    let trace = Session::start(TraceBridge::new().into_config());
+    let trace = Session::start(TraceConfig::CountersOnly);
     for design in Design::ALL {
         let result = eval.evaluate(&net, design);
         println!(
@@ -78,7 +78,7 @@ fn run_serve(seed: u64, horizon_us: f64) {
     let rate_rps = 0.75 * 1e6 / mean_us;
     let mut cfg = ServeConfig::paper(TrafficModel::Poisson { rate_rps }, seed);
     cfg.horizon_us = horizon_us;
-    let trace = Session::start(TraceBridge::new().into_config());
+    let trace = Session::start(TraceConfig::CountersOnly);
     let report = Server::new(&eval, specs, cfg).run();
     println!(
         "  serve: {} served / {} offered, {} batches, deadline miss rate {:.4}",
@@ -112,7 +112,7 @@ fn validate(reg: &Registry) {
 fn main() {
     banner("BENCH metrics", "Metrics layer: metered AlexNet sweep + serve run, SLO per tenant");
     let smoke = std::env::args().any(|a| a == "--smoke");
-    // The trace bridge sees cache-lookup events, whose order is only
+    // The registry folds cache-lookup events, whose order is only
     // deterministic with one worker: pin the pool width.
     std::env::set_var("RANA_THREADS", "1");
     let seed = seed_from_env(DEFAULT_SEED);

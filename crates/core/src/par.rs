@@ -65,7 +65,8 @@ where
 }
 
 /// The multi-worker body of [`par_map_with`], separated so the span hook
-/// times exactly the fan-out/join.
+/// times exactly the fan-out/join. Every worker enters the caller's
+/// telemetry scope, so its emissions land in the caller's sessions.
 fn par_map_pooled<T, R, F>(items: &[T], workers: usize, f: F) -> Vec<R>
 where
     T: Sync,
@@ -73,23 +74,25 @@ where
     F: Fn(&T) -> R + Sync,
 {
     let next = AtomicUsize::new(0);
-    let f = &f;
-    let next = &next;
+    let telemetry = rana_trace::Scope::current();
+    let (f, next, telemetry) = (&f, &next, &telemetry);
     let mut slots: Vec<Option<R>> = Vec::with_capacity(items.len());
     slots.resize_with(items.len(), || None);
     let tagged: Vec<(usize, R)> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..workers)
             .map(|_| {
                 scope.spawn(move || {
-                    let mut local = Vec::new();
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= items.len() {
-                            break;
+                    telemetry.enter(|| {
+                        let mut local = Vec::new();
+                        loop {
+                            let i = next.fetch_add(1, Ordering::Relaxed);
+                            if i >= items.len() {
+                                break;
+                            }
+                            local.push((i, f(&items[i])));
                         }
-                        local.push((i, f(&items[i])));
-                    }
-                    local
+                        local
+                    })
                 })
             })
             .collect();
@@ -295,6 +298,20 @@ mod tests {
             i
         });
         assert_eq!(out, items);
+    }
+
+    #[test]
+    fn pool_workers_record_into_the_callers_session() {
+        use rana_trace::{Event, Session, TraceConfig};
+        let items: Vec<u64> = (0..64).collect();
+        let lookup = |&k: &u64| {
+            rana_trace::emit(|| Event::CacheLookup { cache: "t".into(), fingerprint: k, hit: true })
+        };
+        let session = Session::start(TraceConfig::CountersOnly);
+        par_map_with(&items, 4, lookup);
+        assert_eq!(session.finish().events_emitted, items.len() as u64);
+        // With no session on the caller, the workers stay dark too.
+        par_map_with(&items, 4, |_| rana_trace::emit(|| panic!("event built with no session")));
     }
 
     #[test]

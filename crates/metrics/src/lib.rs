@@ -12,17 +12,19 @@
 //! ## Wiring
 //!
 //! Most subsystems need no code changes: they already emit trace events,
-//! and [`TraceBridge`] is a `rana_trace::Sink` that folds every event into
-//! the active [`MetricsSession`]. Only the serving loop records directly
-//! (per-request latency, queue wait and SLO outcomes carry data no event
-//! has).
+//! and while a [`MetricsSession`] and a `rana_trace::Session` are active
+//! on the same thread, every event is folded into the registry through
+//! [`apply_event`]. Only the serving loop records directly (per-request
+//! latency, queue wait and SLO outcomes carry data no event has).
 //!
-//! ## Zero cost when off
+//! ## Thread-scoped, and zero cost when off
 //!
-//! Every recording free function is guarded by [`enabled`] — one relaxed
-//! atomic load — and takes closures for anything that allocates, so an
-//! unmetered run pays nothing and existing BENCH artifacts stay
-//! byte-identical.
+//! A session attaches its registry to the calling thread's
+//! `rana_trace::Scope`, which pool workers inherit; runs on other threads
+//! record nothing into it. Every recording free function is guarded by
+//! [`enabled`] — one thread-local load — and takes closures for anything
+//! that allocates, so an unmetered run pays nothing and existing BENCH
+//! artifacts stay byte-identical.
 //!
 //! ## Determinism
 //!
@@ -46,41 +48,47 @@
 
 #![warn(missing_docs)]
 
-mod bridge;
 mod expose;
+mod fold;
 mod hist;
 mod rate;
 mod registry;
 mod slo;
 
-pub use bridge::{apply_event, TraceBridge};
 pub use expose::EXPOSED_QUANTILES;
+pub use fold::apply_event;
 pub use hist::{HistF64, HistI64, DEFAULT_PRECISION_BITS, MAX_PRECISION_BITS};
 pub use rate::WindowedRate;
 pub use registry::{MetricKey, Registry};
 pub use slo::{SloObservation, SloReport, SloSpec, SloTracker};
 
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
+use rana_trace::{Event, Meter};
+use std::any::Any;
+use std::marker::PhantomData;
+use std::sync::{Arc, Mutex, MutexGuard};
 
-/// Fast global "is a metrics session active" flag; every recording site
-/// checks this before doing anything else.
-static ENABLED: AtomicBool = AtomicBool::new(false);
+/// The registry a [`MetricsSession`] attaches to its thread's scope.
+struct Attached(Mutex<Registry>);
 
-/// The active session's registry, if any.
-static CURRENT: Mutex<Option<Arc<Mutex<Registry>>>> = Mutex::new(None);
+impl Attached {
+    fn lock(&self) -> MutexGuard<'_, Registry> {
+        self.0.lock().expect("metrics registry poisoned: a recorder panicked")
+    }
+}
 
-/// Serializes whole sessions, exactly like `rana_trace`: tests run in
-/// parallel threads and two concurrent sessions would mix their metrics.
-static SESSION_LOCK: OnceLock<Mutex<()>> = OnceLock::new();
+impl Meter for Attached {
+    fn fold(&self, event: &Event) {
+        apply_event(&mut self.lock(), event);
+    }
+}
 
-/// Whether a metrics session is currently active.
+/// Whether a metrics session is active on the calling thread.
 ///
-/// This is the only cost metrics impose on an unmetered run: one relaxed
-/// atomic load per recording site.
+/// This is the only cost metrics impose on an unmetered run: one
+/// thread-local load per recording site.
 #[inline]
 pub fn enabled() -> bool {
-    ENABLED.load(Ordering::Relaxed)
+    rana_trace::metered()
 }
 
 /// Runs `f` against the active registry, if any. Recording sites with
@@ -91,8 +99,11 @@ pub fn with(f: impl FnOnce(&mut Registry)) {
     if !enabled() {
         return;
     }
-    let Some(reg) = CURRENT.lock().unwrap().clone() else { return };
-    f(&mut reg.lock().unwrap());
+    rana_trace::with_meter(|meter| {
+        if let Some(attached) = (meter as &dyn Any).downcast_ref::<Attached>() {
+            f(&mut attached.lock());
+        }
+    });
 }
 
 /// Adds `n` to the counter at the key built by `key` (only built when a
@@ -126,60 +137,40 @@ pub fn slo_observe(tenant: &str, spec: &SloSpec, obs: SloObservation) {
     with(|r| r.slo_observe(tenant, spec, obs));
 }
 
-/// An active metrics session. Starting one flips the global [`enabled`]
-/// flag; finishing (or dropping) it turns metrics back off and yields the
-/// final [`Registry`].
-///
-/// Sessions are globally exclusive: a second `start` blocks until the
-/// first finishes, which serializes tests that meter.
+/// An active metrics session on the calling thread (and on the pool
+/// workers that inherit its scope). Finishing or dropping it detaches the
+/// registry and restores the thread's previous session; `finish` yields
+/// the final [`Registry`].
 pub struct MetricsSession {
-    _guard: MutexGuard<'static, ()>,
-    registry: Arc<Mutex<Registry>>,
-}
-
-impl Default for MetricsSession {
-    fn default() -> Self {
-        Self::start()
-    }
+    registry: Arc<Attached>,
+    prev: Option<Arc<dyn Meter>>,
+    /// Attached to one thread's scope, so it must end on that thread.
+    _thread: PhantomData<*const ()>,
 }
 
 impl MetricsSession {
     /// Starts a session with an empty registry.
     pub fn start() -> MetricsSession {
-        let guard = SESSION_LOCK
-            .get_or_init(|| Mutex::new(()))
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner());
-        let registry = Arc::new(Mutex::new(Registry::new()));
-        *CURRENT.lock().unwrap() = Some(registry.clone());
-        ENABLED.store(true, Ordering::SeqCst);
-        MetricsSession { _guard: guard, registry }
+        let registry = Arc::new(Attached(Mutex::new(Registry::new())));
+        let prev = rana_trace::replace_meter(Some(registry.clone()));
+        MetricsSession { registry, prev, _thread: PhantomData }
     }
 
     /// Clone of everything recorded so far, without ending the session.
     pub fn snapshot(&self) -> Registry {
-        self.registry.lock().unwrap().clone()
+        self.registry.lock().clone()
     }
 
-    /// Ends the session and returns the final registry. Metrics are
-    /// disabled before this returns.
+    /// Ends the session and returns the final registry. The thread's
+    /// previous session is back in place when this returns.
     pub fn finish(self) -> Registry {
-        ENABLED.store(false, Ordering::SeqCst);
-        CURRENT.lock().unwrap().take();
-        // Recorders that cloned the Arc before the disable may still hold
-        // it briefly; draining through the mutex is race-free either way.
-        std::mem::take(&mut *self.registry.lock().unwrap())
+        std::mem::take(&mut *self.registry.lock())
     }
 }
 
 impl Drop for MetricsSession {
     fn drop(&mut self) {
-        // `finish` consumes self, so reaching Drop with metrics enabled
-        // means the session is being abandoned (e.g. a panicking test):
-        // turn the flag off so later code isn't metered into a dead
-        // registry.
-        ENABLED.store(false, Ordering::SeqCst);
-        CURRENT.lock().unwrap().take();
+        rana_trace::replace_meter(self.prev.take());
     }
 }
 
@@ -214,7 +205,7 @@ mod tests {
     }
 
     #[test]
-    fn sessions_are_exclusive_and_sequential() {
+    fn sessions_are_sequential() {
         let a = MetricsSession::start();
         counter_add(|| MetricKey::new("a"), 1);
         let reg_a = a.finish();
@@ -225,5 +216,23 @@ mod tests {
         assert_eq!(reg_a.counter("b"), 0);
         assert_eq!(reg_b.counter("b"), 1);
         assert_eq!(reg_b.counter("a"), 0);
+    }
+
+    #[test]
+    fn trace_events_fold_only_while_both_sessions_are_active() {
+        use rana_trace::{Session, TraceConfig};
+        let lookup = || Event::CacheLookup { cache: "schedule".into(), fingerprint: 7, hit: true };
+        let metrics = MetricsSession::start();
+        rana_trace::emit(lookup);
+        let trace = Session::start(TraceConfig::CountersOnly);
+        rana_trace::emit(lookup);
+        // Sessions may end in either order; each restores only its own part.
+        let reg = metrics.finish();
+        rana_trace::emit(lookup);
+        assert_eq!(trace.finish().events_emitted, 2);
+        assert!(!enabled() && !rana_trace::enabled());
+        let key =
+            MetricKey::new("cache.lookups").label("cache", "schedule").label("outcome", "hit");
+        assert_eq!(reg.counter(key), 1);
     }
 }

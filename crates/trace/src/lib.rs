@@ -8,13 +8,27 @@
 //! aggregates hierarchical counters, span timings and the paper's Eq. 14
 //! energy ledger into a [`TelemetryReport`].
 //!
+//! ## Thread-scoped sessions
+//!
+//! Telemetry is recorded into the calling thread's [`Scope`]: the active
+//! trace [`Session`], if any, plus the metrics registry a
+//! `rana_metrics::MetricsSession` attached as a [`Meter`], if any.
+//! [`Session::start`] installs a session on the calling thread only, and
+//! finishing (or dropping) it restores whatever that thread had before, so
+//! concurrent runs on different threads never see each other's events.
+//! Pool workers inherit their caller's scope: `rana_core::par` captures
+//! [`Scope::current`] and [`enter`](Scope::enter)s it in every worker, so
+//! parallel schedule searches still count toward the session that started
+//! them. While a session and a meter share a scope, every emitted event is
+//! also folded into the meter — one run yields events, counters and
+//! metrics together.
+//!
 //! ## Zero cost when off
 //!
-//! Every emission site is guarded by [`enabled`], a single relaxed atomic
-//! load. When no session is active the guard is false, no event is
-//! constructed, no string is allocated, and existing outputs stay
-//! byte-identical. Tracing is opted into per run via [`Session::start`]
-//! with a [`TraceConfig`].
+//! Every emission site is guarded by [`enabled`], a single load of a
+//! const-initialized thread-local flag. When no session is active on the
+//! thread the guard is false, no event is constructed, no string is
+//! allocated, and existing outputs stay byte-identical.
 //!
 //! ## Determinism
 //!
@@ -51,24 +65,23 @@ pub use event::{json_f64, json_string, EnergyLedger, Event};
 pub use report::{Registry, SpanStats, TelemetryReport};
 pub use sink::{JsonlSink, NullSink, RingSink, SharedRing, SharedRingSink, Sink, TraceConfig};
 
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
+use std::any::Any;
+use std::cell::{Cell, RefCell};
+use std::marker::PhantomData;
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Instant;
 
-/// Fast global "is any session active" flag; emission sites check this
-/// before doing anything else.
-static ENABLED: AtomicBool = AtomicBool::new(false);
+/// A metrics registry attached to a [`Scope`]; `rana-metrics` implements
+/// it for the registry of a `MetricsSession`.
+pub trait Meter: Any + Send + Sync {
+    /// Folds one event emitted inside the scope into the registry.
+    fn fold(&self, event: &Event);
+}
 
-/// The active session's shared state, if any.
-static CURRENT: Mutex<Option<Arc<SessionState>>> = Mutex::new(None);
+type SessionState = Arc<Mutex<SessionInner>>;
 
-/// Serializes whole sessions: tests (which run in parallel threads under
-/// `cargo test`) each start a session, and two concurrent sessions would
-/// interleave their events. Held by [`Session`] for its lifetime.
-static SESSION_LOCK: OnceLock<Mutex<()>> = OnceLock::new();
-
-struct SessionState {
-    inner: Mutex<SessionInner>,
+fn lock(state: &SessionState) -> MutexGuard<'_, SessionInner> {
+    state.lock().expect("trace session poisoned: an emitter panicked")
 }
 
 struct SessionInner {
@@ -77,22 +90,89 @@ struct SessionInner {
     registry: Registry,
 }
 
-/// Whether a tracing session is currently active.
+/// The telemetry one thread records into: a trace session and a meter,
+/// each optional.
 ///
-/// This is the only cost tracing imposes on an untraced run: one relaxed
-/// atomic load per emission site.
-#[inline]
-pub fn enabled() -> bool {
-    ENABLED.load(Ordering::Relaxed)
+/// Cloning a scope and [`enter`](Self::enter)ing it on another thread makes
+/// that thread record into the same session and meter; this is how pool
+/// workers inherit their caller's telemetry.
+#[derive(Clone, Default)]
+pub struct Scope {
+    trace: Option<SessionState>,
+    meter: Option<Arc<dyn Meter>>,
 }
 
-fn with_state<R>(f: impl FnOnce(&mut SessionInner) -> R) -> Option<R> {
-    if !enabled() {
-        return None;
+thread_local! {
+    /// Whether [`SCOPE`] holds a trace session and a meter. Emission sites
+    /// read only this when telemetry is off: it is const-initialized and
+    /// has no destructor, so the check is a plain thread-local load.
+    static ACTIVE: Cell<(bool, bool)> = const { Cell::new((false, false)) };
+    /// The calling thread's scope.
+    static SCOPE: RefCell<Scope> = const { RefCell::new(Scope { trace: None, meter: None }) };
+}
+
+/// Applies `f` to the calling thread's scope, keeping [`ACTIVE`] in sync.
+fn update_scope<R>(f: impl FnOnce(&mut Scope) -> R) -> R {
+    SCOPE.with_borrow_mut(|scope| {
+        let out = f(scope);
+        ACTIVE.set((scope.trace.is_some(), scope.meter.is_some()));
+        out
+    })
+}
+
+impl Scope {
+    /// A handle on the calling thread's scope.
+    pub fn current() -> Scope {
+        SCOPE.with_borrow(Scope::clone)
     }
-    let state = CURRENT.lock().unwrap().clone()?;
-    let mut inner = state.inner.lock().unwrap();
-    Some(f(&mut inner))
+
+    /// Runs `f` with this scope installed on the calling thread, then
+    /// restores the thread's previous scope (also when `f` panics).
+    pub fn enter<R>(&self, f: impl FnOnce() -> R) -> R {
+        struct Restore(Scope);
+        impl Drop for Restore {
+            fn drop(&mut self) {
+                let prev = std::mem::take(&mut self.0);
+                update_scope(|scope| *scope = prev);
+            }
+        }
+        let _restore = Restore(update_scope(|scope| std::mem::replace(scope, self.clone())));
+        f()
+    }
+}
+
+/// Whether a tracing session is active on the calling thread.
+///
+/// This is the only cost tracing imposes on an untraced run: one
+/// thread-local load per emission site.
+#[inline]
+pub fn enabled() -> bool {
+    ACTIVE.get().0
+}
+
+/// Whether a [`Meter`] is attached to the calling thread's scope.
+#[inline]
+pub fn metered() -> bool {
+    ACTIVE.get().1
+}
+
+/// Attaches `meter` to the calling thread's scope and returns the meter it
+/// replaces; pass that back to detach.
+pub fn replace_meter(meter: Option<Arc<dyn Meter>>) -> Option<Arc<dyn Meter>> {
+    update_scope(|scope| std::mem::replace(&mut scope.meter, meter))
+}
+
+/// Runs `f` against the meter attached to the calling thread's scope, if
+/// any.
+pub fn with_meter(f: impl FnOnce(&dyn Meter)) {
+    SCOPE.with_borrow(|scope| scope.meter.as_deref().map(f));
+}
+
+fn with_state<R>(f: impl FnOnce(&mut SessionInner, Option<&dyn Meter>) -> R) -> Option<R> {
+    SCOPE.with_borrow(|scope| {
+        let mut inner = lock(scope.trace.as_ref()?);
+        Some(f(&mut inner, scope.meter.as_deref()))
+    })
 }
 
 /// Emits one event if tracing is active. The closure runs only when a
@@ -103,12 +183,15 @@ pub fn emit(build: impl FnOnce() -> Event) {
     if !enabled() {
         return;
     }
-    with_state(|inner| {
+    with_state(|inner, meter| {
         let event = build();
         inner.registry.count_event(event.kind());
         if let Some(ledger) = event.ledger() {
             let ledger = *ledger;
             inner.registry.add_ledger(&ledger);
+        }
+        if let Some(meter) = meter {
+            meter.fold(&event);
         }
         let seq = inner.seq;
         inner.seq += 1;
@@ -124,7 +207,7 @@ pub fn count(path: &str, n: u64) {
     if !enabled() {
         return;
     }
-    with_state(|inner| inner.registry.add(path, n));
+    with_state(|inner, _| inner.registry.add(path, n));
 }
 
 /// Accumulates one finalized per-layer Eq. 14 ledger into the report
@@ -135,7 +218,7 @@ pub fn ledger(l: &EnergyLedger) {
     if !enabled() {
         return;
     }
-    with_state(|inner| inner.registry.add_ledger(l));
+    with_state(|inner, _| inner.registry.add_ledger(l));
 }
 
 /// Times the enclosed closure and records it as a span named `name` when
@@ -151,20 +234,22 @@ pub fn span<R>(name: &str, f: impl FnOnce() -> R) -> R {
     let start = Instant::now();
     let out = f();
     let elapsed = start.elapsed().as_secs_f64();
-    with_state(|inner| inner.registry.record_span(name, elapsed));
+    with_state(|inner, _| inner.registry.record_span(name, elapsed));
     out
 }
 
-/// An active tracing session. Starting a session flips the global
-/// [`enabled`] flag; dropping or [`finish`](Session::finish)ing it turns
-/// tracing back off and yields the aggregated [`TelemetryReport`].
+/// An active tracing session on the calling thread (and on the pool
+/// workers that inherit its [`Scope`]). Dropping or
+/// [`finish`](Session::finish)ing it restores the session the thread had
+/// before, and `finish` yields the aggregated [`TelemetryReport`].
 ///
-/// Sessions are globally exclusive: a second `Session::start` blocks until
-/// the first finishes. This serializes tests that trace and guarantees a
-/// JSONL file never interleaves two workloads.
+/// Sessions on different threads are independent, and a session nested on
+/// one thread shadows the outer one until it ends.
 pub struct Session {
-    _guard: MutexGuard<'static, ()>,
-    state: Arc<SessionState>,
+    state: SessionState,
+    prev: Option<SessionState>,
+    /// Installed on one thread's scope, so it must end on that thread.
+    _thread: PhantomData<*const ()>,
 }
 
 impl Session {
@@ -174,35 +259,24 @@ impl Session {
     /// live counters) — passing `Off` is how callers say "aggregate but
     /// keep no events"; to not trace at all, simply don't start a session.
     pub fn start(config: TraceConfig) -> Session {
-        let guard = SESSION_LOCK
-            .get_or_init(|| Mutex::new(()))
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner());
         let sink = config.into_sink().unwrap_or_else(|| Box::new(NullSink));
-        let state = Arc::new(SessionState {
-            inner: Mutex::new(SessionInner { seq: 0, sink, registry: Registry::new() }),
-        });
-        *CURRENT.lock().unwrap() = Some(state.clone());
-        ENABLED.store(true, Ordering::SeqCst);
-        Session { _guard: guard, state }
+        let state = Arc::new(Mutex::new(SessionInner { seq: 0, sink, registry: Registry::new() }));
+        let prev = update_scope(|scope| scope.trace.replace(state.clone()));
+        Session { state, prev, _thread: PhantomData }
     }
 
     /// Snapshot of everything aggregated so far (counters, spans, ledger,
     /// event counts), without ending the session.
     pub fn snapshot(&self) -> TelemetryReport {
-        let inner = self.state.inner.lock().unwrap();
+        let inner = lock(&self.state);
         inner.registry.clone().into_report(inner.seq, inner.sink.dropped())
     }
 
     /// Ends the session, flushes the sink, and returns the aggregated
-    /// report. Tracing is disabled before this returns.
+    /// report. The thread's previous session is back in place when this
+    /// returns.
     pub fn finish(self) -> TelemetryReport {
-        ENABLED.store(false, Ordering::SeqCst);
-        CURRENT.lock().unwrap().take();
-        // Emitters that cloned the state Arc before the disable may still
-        // hold it briefly; draining through the mutex (rather than
-        // Arc::try_unwrap) is race-free either way.
-        let mut inner = self.state.inner.lock().unwrap();
+        let mut inner = lock(&self.state);
         inner.sink.flush();
         let seq = inner.seq;
         let dropped = inner.sink.dropped();
@@ -212,12 +286,8 @@ impl Session {
 
 impl Drop for Session {
     fn drop(&mut self) {
-        // `finish` consumes self, so reaching Drop with tracing enabled
-        // means the session is being abandoned (e.g. a panic in a test):
-        // turn the global flag off so later code isn't traced into a dead
-        // sink.
-        ENABLED.store(false, Ordering::SeqCst);
-        CURRENT.lock().unwrap().take();
+        let prev = self.prev.take();
+        update_scope(|scope| scope.trace = prev);
     }
 }
 
@@ -292,5 +362,44 @@ mod tests {
         assert_eq!(out, 7);
         let report = session.finish();
         assert_eq!(report.spans["work"].count, 1);
+    }
+
+    #[test]
+    fn sessions_are_scoped_to_their_thread() {
+        let session = Session::start(TraceConfig::CountersOnly);
+        std::thread::spawn(|| {
+            assert!(!enabled());
+            emit(|| panic!("event built on a thread outside the session"));
+        })
+        .join()
+        .unwrap();
+        assert_eq!(session.finish().events_emitted, 0);
+    }
+
+    #[test]
+    fn nested_session_shadows_then_restores_the_outer_one() {
+        let outer = Session::start(TraceConfig::CountersOnly);
+        count("outer", 1);
+        let inner = Session::start(TraceConfig::CountersOnly);
+        count("inner", 1);
+        let inner = inner.finish();
+        count("outer", 1);
+        let outer = outer.finish();
+        assert!(!enabled());
+        assert_eq!((inner.counter("inner"), inner.counter("outer")), (1, 0));
+        assert_eq!((outer.counter("outer"), outer.counter("inner")), (2, 0));
+    }
+
+    #[test]
+    fn entered_scope_records_into_the_callers_session() {
+        let session = Session::start(TraceConfig::CountersOnly);
+        let scope = Scope::current();
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                scope.enter(|| count("worker", 1));
+                assert!(!enabled(), "leaving the scope restores the worker's own");
+            });
+        });
+        assert_eq!(session.finish().counter("worker"), 1);
     }
 }

@@ -1,7 +1,7 @@
 //! Pluggable event sinks and the [`TraceConfig`] that selects one.
 //!
 //! A [`Sink`] receives every emitted [`Event`] together with its session
-//! sequence number. The tracer calls sinks under the session lock, so a
+//! sequence number. The tracer calls sinks under the session mutex, so a
 //! sink observes events in exactly the order they were assigned sequence
 //! numbers — a `JsonlSink` file is therefore sorted by `seq` with no gaps.
 
@@ -203,7 +203,7 @@ impl Sink for SharedRingSink {
 /// Selects how a tracing session writes events out.
 #[derive(Default)]
 pub enum TraceConfig {
-    /// Tracing disabled — emission sites are a relaxed atomic load and
+    /// Tracing disabled — emission sites are a thread-local load and
     /// nothing else; no events are constructed. This is the default, and
     /// it preserves byte-determinism of every pre-existing BENCH output.
     #[default]

@@ -1,7 +1,7 @@
 //! Telemetry walkthrough: attach a JSONL sink, run one traced layer
 //! schedule, and read the Eq. 14 energy ledger back out of the report.
 //!
-//! The tracer is off by default (a single relaxed atomic load per
+//! The tracer is off by default (a single thread-local load per
 //! emission site); starting a [`Session`] with a [`TraceConfig`] turns it
 //! on for the duration. Here the Stage-2 scheduler runs AlexNet once with
 //! events streaming to `trace_alexnet_example.jsonl`, then the finished

@@ -13,10 +13,10 @@ fmt:
 build:
     cargo build --release --workspace
 
-# Tier-1 test suite plus the eDRAM and engine unit tests.
+# Tier-1 test suite plus every crate's unit tests and doctests.
 test:
     cargo test -q
-    cargo test -q -p rana-edram -p rana-accel
+    cargo test -q --workspace
 
 # Lint gate (same flags as `just check`).
 clippy:

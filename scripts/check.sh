@@ -15,8 +15,14 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "== tier-1 tests =="
 cargo test -q
 
-echo "== eDRAM + engine unit tests (row reads == per-word reads, refresh) =="
-cargo test -q -p rana-edram -p rana-accel
+echo "== every workspace test (crate unit tests, integration tests, doctests) =="
+cargo test -q --workspace
+
+echo "== telemetry flake guard (10 runs at default harness parallelism) =="
+for _ in $(seq 10); do
+    cargo test -q --test telemetry --test fleet_telemetry --test policy_telemetry \
+        --test metrics_determinism
+done
 
 echo "== simd feature leg (build + engine tests) =="
 cargo clippy -p rana-accel --features simd --all-targets -- -D warnings

@@ -3,13 +3,15 @@
 //! energy-ledger reconciliation against `Evaluator` totals on all five
 //! networks.
 //!
-//! Every test here starts a tracing [`Session`]; sessions are globally
-//! exclusive (they hold the tracer's session lock), so these tests
-//! serialize against each other automatically even when `cargo test` runs
-//! them on parallel threads.
+//! Sessions are scoped to the thread that starts them (and to the pool
+//! workers that inherit its scope), so these tests run side by side on
+//! `cargo test`'s parallel threads without seeing each other's events.
+//! Worker counts are passed explicitly rather than through the
+//! environment, which every test thread shares.
 
 use rana_core::designs::Design;
 use rana_core::evaluate::Evaluator;
+use rana_core::par::par_map_with;
 use rana_core::trace::{
     EnergyLedger, Event, RingSink, Session, SharedRing, Sink, TelemetryReport, TraceConfig,
 };
@@ -52,31 +54,31 @@ fn session_report_counts_past_ring_overflow() {
     assert_eq!(shared.dropped(), 8);
 }
 
-/// Runs the Figure 15 AlexNet row through `evaluate_many` with the worker
-/// pool pinned to one thread, capturing the full event stream.
-fn traced_sweep_events() -> Vec<(u64, Event)> {
-    let shared = SharedRing::new(1 << 16);
-    let session = Session::start(TraceConfig::Custom(Box::new(shared.sink())));
-    // Pin the pool *after* taking the session (the session lock serializes
-    // this block against every other tracing test), restore after.
-    let prev = std::env::var("RANA_THREADS").ok();
-    std::env::set_var("RANA_THREADS", "1");
+/// Runs the Figure 15 AlexNet row the way `evaluate_many` does — design
+/// points fanned over the worker pool, one shared schedule cache — with
+/// an explicit worker count.
+fn sweep(threads: usize) {
     let eval = Evaluator::paper_platform();
     let net = rana_zoo::alexnet();
     let points: Vec<(&Network, Design)> = Design::ALL.iter().map(|&d| (&net, d)).collect();
-    let results = eval.evaluate_many(&points);
+    let results = par_map_with(&points, threads, |&(net, design)| {
+        eval.scheduler_for(design).schedule_network_with(net, Some(eval.cache()), 1)
+    });
     assert_eq!(results.len(), Design::ALL.len());
-    match prev {
-        Some(v) => std::env::set_var("RANA_THREADS", v),
-        None => std::env::remove_var("RANA_THREADS"),
-    }
+}
+
+/// The single-worker sweep's full event stream.
+fn traced_sweep_events() -> Vec<(u64, Event)> {
+    let shared = SharedRing::new(1 << 16);
+    let session = Session::start(TraceConfig::Custom(Box::new(shared.sink())));
+    sweep(1);
     session.finish();
     shared.snapshot()
 }
 
-/// Sink ordering under the PR 2 worker pool: with `RANA_THREADS=1` the
-/// event stream of an `evaluate_many` sweep is deterministic — two
-/// identical sweeps produce identical sequences, event for event.
+/// Sink ordering under the worker pool: with one worker the event stream
+/// of an `evaluate_many` sweep is deterministic — two identical sweeps
+/// produce identical sequences, event for event.
 #[test]
 fn evaluate_many_event_order_is_deterministic_single_threaded() {
     let first = traced_sweep_events();
@@ -96,22 +98,13 @@ fn evaluate_many_event_order_is_deterministic_single_threaded() {
 /// single-threaded and a multi-threaded run of the same sweep.
 #[test]
 fn counters_are_thread_count_invariant() {
-    let run = |threads: &str| -> TelemetryReport {
+    let run = |threads: usize| -> TelemetryReport {
         let session = Session::start(TraceConfig::CountersOnly);
-        let prev = std::env::var("RANA_THREADS").ok();
-        std::env::set_var("RANA_THREADS", threads);
-        let eval = Evaluator::paper_platform();
-        let net = rana_zoo::alexnet();
-        let points: Vec<(&Network, Design)> = Design::ALL.iter().map(|&d| (&net, d)).collect();
-        eval.evaluate_many(&points);
-        match prev {
-            Some(v) => std::env::set_var("RANA_THREADS", v),
-            None => std::env::remove_var("RANA_THREADS"),
-        }
+        sweep(threads);
         session.finish()
     };
-    let serial = run("1");
-    let parallel = run("4");
+    let serial = run(1);
+    let parallel = run(4);
     assert_eq!(serial.counters, parallel.counters);
     assert_eq!(serial.ledger, parallel.ledger);
     assert_eq!(serial.event_counts, parallel.event_counts);
