@@ -13,16 +13,16 @@
 //!   per-layer accelerator power (Eq. 14 MAC + buffer + refresh energy over
 //!   the layer's execution time) into a junction-temperature trajectory.
 //! * **Sensor + policy** — [`AdaptiveRuntime`] samples the temperature at
-//!   every layer boundary (quantized to the sensor resolution), maps it
-//!   through the temperature-scaled [`RetentionDistribution`] to the
-//!   currently tolerable retention time, derates it by a safety margin,
-//!   and snaps the result onto a quantized *interval ladder*
-//!   (`nominal · 2^(−k/steps)`). When the rung changes, the runtime
-//!   retunes the [`ClockDivider`] and recomputes the per-bank refresh
-//!   flags. When a layer's scheduled data lifetime no longer fits under
-//!   the tightened interval, the runtime either falls back to the
-//!   precomputed conservative (45 µs-class) schedule or re-runs the
-//!   memoized scheduler online with the tighter refresh model
+//!   every layer boundary and asks the [`RetentionGovernor`] for the
+//!   operating point: the sensed temperature mapped through the
+//!   temperature-scaled [`RetentionDistribution`] to the currently
+//!   tolerable retention time, derated by a safety margin and snapped onto
+//!   a quantized *interval ladder* (`nominal · 2^(−k/steps)`). When the
+//!   rung changes, the runtime retunes the [`ClockDivider`] and recomputes
+//!   the per-bank refresh flags. When a layer's scheduled data lifetime no
+//!   longer fits under the tightened interval, the runtime either falls
+//!   back to the precomputed conservative (45 µs-class) schedule or re-runs
+//!   the memoized scheduler online with the tighter refresh model
 //!   ([`FallbackPolicy`]).
 //! * **Validation** — [`run_probes`] replays every adapted layer's
 //!   retention exposure (data lifetime, refresh interval, die temperature)
@@ -39,8 +39,11 @@ use crate::config_gen::{json_f64, json_string};
 use crate::designs::Design;
 use crate::energy::{EnergyBreakdown, EnergyModel};
 use crate::evaluate::Evaluator;
+use crate::governor::{
+    crit_us, RetentionGovernor, RESCHEDULE_REFRESH_WEIGHT, RETENTION_MARGIN, THROTTLE_TEMP_C,
+};
 use crate::par::ScheduleCache;
-use crate::scheduler::{LayerSchedule, NetworkSchedule, Scheduler};
+use crate::scheduler::{LayerSchedule, NetworkSchedule};
 use rana_accel::exec::{execute_layer, BufferModel, Formats};
 use rana_accel::{
     layer_refresh_words, AcceleratorConfig, ControllerKind, Fnv1a, Pattern, RefreshModel,
@@ -75,42 +78,14 @@ impl FallbackPolicy {
     }
 }
 
-/// Tuning of the adaptive policy.
+/// Tuning of the adaptive policy. The sensing, margin, ladder, throttle
+/// and hedging constants are the [`governor`](crate::governor)'s.
 #[derive(Debug, Clone)]
 pub struct AdaptiveConfig {
     /// Stage-1 tolerable bit-failure-rate target.
     pub target_rate: f64,
-    /// Safety margin applied to the tolerable retention time before
-    /// quantization (`0 < margin ≤ 1`); covers sensor quantization and the
-    /// heating that happens *within* a layer, after its boundary sample.
-    pub retention_margin: f64,
-    /// Temperature sensor resolution, °C. Samples are quantized *up* (the
-    /// pessimistic side for retention).
-    pub sensor_quantum_c: f64,
-    /// Interval-ladder resolution: rung `k` is `nominal · 2^(−k/steps)`.
-    /// Coarser ladders retune less and maximize memo-cache reuse; finer
-    /// ladders track the safe interval more tightly.
-    pub ladder_steps_per_octave: u32,
     /// What to do when a layer's data lifetime exceeds the safe interval.
     pub fallback: FallbackPolicy,
-    /// Thermal throttle: when the junction exceeds this cap at a layer
-    /// boundary, the runtime duty-cycles — idles until the die cools back
-    /// to the cap before launching the layer (DVFS-style thermal
-    /// protection). Bounds the interval-tightening feedback loop: entry
-    /// temperature, and with it the chosen rung and refresh power, can
-    /// never spiral. Must be above ambient.
-    pub throttle_temp_c: f64,
-    /// Refresh-energy weight applied by the *online* reschedule search
-    /// (`≥ 1`). Under a heating transient the refresh bill of a candidate
-    /// grows as the interval keeps tightening (pulses ∝ 1/interval) while
-    /// its MAC/buffer/off-chip terms stay fixed, so the online search
-    /// hedges by pricing refresh at `weight ×` its Table III cost; `4.0`
-    /// prices two further octaves of derating, which also keeps the
-    /// config choice stable across neighbouring rungs (a cheap-refresh
-    /// pick at a loose cold rung would otherwise flip to a lean pick one
-    /// rung later, paying the difference twice). Accounting and reports
-    /// always use the unweighted model.
-    pub reschedule_refresh_weight: f64,
     /// Seed for the Monte-Carlo validation probes. The control loop itself
     /// is seed-free (fully deterministic); the seed only selects the
     /// per-cell retention draw of [`run_probes`].
@@ -119,18 +94,9 @@ pub struct AdaptiveConfig {
 
 impl AdaptiveConfig {
     /// The default policy for a design point: the design's Stage-1 failure
-    /// rate, 0.85 retention margin, 0.25 °C sensor, quarter-octave ladder.
+    /// rate.
     pub fn for_design(design: Design, fallback: FallbackPolicy, seed: u64) -> Self {
-        Self {
-            target_rate: design.failure_rate(),
-            retention_margin: 0.85,
-            sensor_quantum_c: 0.25,
-            ladder_steps_per_octave: 4,
-            fallback,
-            throttle_temp_c: 85.0,
-            reschedule_refresh_weight: 4.0,
-            seed,
-        }
+        Self { target_rate: design.failure_rate(), fallback, seed }
     }
 }
 
@@ -324,12 +290,12 @@ impl AdaptiveReport {
         out.push_str(&format!("\"network\":{},", json_string(&self.network)));
         out.push_str(&format!("\"design\":{},", json_string(&self.design)));
         out.push_str(&format!("\"target_rate\":{},", json_f64(self.config.target_rate)));
-        out.push_str(&format!("\"retention_margin\":{},", json_f64(self.config.retention_margin)));
+        out.push_str(&format!("\"retention_margin\":{},", json_f64(RETENTION_MARGIN)));
         out.push_str(&format!("\"fallback\":\"{}\",", self.config.fallback.label()));
-        out.push_str(&format!("\"throttle_temp_c\":{},", json_f64(self.config.throttle_temp_c)));
+        out.push_str(&format!("\"throttle_temp_c\":{},", json_f64(THROTTLE_TEMP_C)));
         out.push_str(&format!(
             "\"reschedule_refresh_weight\":{},",
-            json_f64(self.config.reschedule_refresh_weight)
+            json_f64(RESCHEDULE_REFRESH_WEIGHT)
         ));
         out.push_str(&format!("\"seed\":{},", self.config.seed));
         out.push_str(&format!(
@@ -457,9 +423,9 @@ impl Scenario {
 pub struct AdaptiveRuntime {
     cfg: AcceleratorConfig,
     model: EnergyModel,
-    /// Stage-2 scheduler for online rescheduling (refresh model swapped
-    /// per ladder rung).
-    scheduler: Scheduler,
+    /// The thermal → rung → divider loop; its template is the Stage-2
+    /// scheduler online reschedules re-target per ladder rung.
+    governor: RetentionGovernor,
     cache: ScheduleCache,
     layers: Vec<SchedLayer>,
     base: NetworkSchedule,
@@ -469,9 +435,6 @@ pub struct AdaptiveRuntime {
     /// controller kind's strategy ([`Strategy::for_kind`]).
     strategy: Strategy,
     dist: RetentionDistribution,
-    /// Tolerable retention at the characterization temperature, µs.
-    base_tolerable_us: f64,
-    nominal_interval_us: f64,
     thermal: ThermalModel,
     config: AdaptiveConfig,
     report: AdaptiveReport,
@@ -490,9 +453,9 @@ impl AdaptiveRuntime {
     ///
     /// # Panics
     ///
-    /// Panics if `design` does not buffer in eDRAM, or if the policy
-    /// configuration is out of range (margin or target rate outside
-    /// `(0, 1]`, non-positive sensor quantum, zero ladder steps).
+    /// Panics if `design` does not buffer in eDRAM, if the target rate is
+    /// outside `(0, 1]`, or if `thermal`'s ambient is not below the
+    /// governor's throttle cap.
     pub fn new(
         eval: &Evaluator,
         net: &Network,
@@ -502,38 +465,19 @@ impl AdaptiveRuntime {
     ) -> Self {
         assert!(design.uses_edram(), "adaptive refresh needs an eDRAM design, got {design}");
         assert!(
-            config.retention_margin > 0.0 && config.retention_margin <= 1.0,
-            "retention margin must be in (0, 1], got {}",
-            config.retention_margin
-        );
-        assert!(
             config.target_rate > 0.0 && config.target_rate <= 1.0,
             "target rate must be in (0, 1], got {}",
             config.target_rate
         );
-        assert!(config.sensor_quantum_c > 0.0, "sensor quantum must be positive");
-        assert!(config.ladder_steps_per_octave >= 1, "ladder needs at least one step per octave");
-        assert!(
-            config.reschedule_refresh_weight >= 1.0,
-            "refresh weight must be at least 1, got {}",
-            config.reschedule_refresh_weight
-        );
-        assert!(
-            config.throttle_temp_c > thermal.ambient_c,
-            "throttle cap {} degC must be above ambient {} degC",
-            config.throttle_temp_c,
-            thermal.ambient_c
-        );
 
-        let mut scheduler = eval.scheduler_for(design);
-        let cfg = scheduler.cfg.clone();
-        let model = scheduler.model;
-        let kind = scheduler.refresh.kind;
-        let nominal_interval_us = scheduler.refresh.interval_us;
-        // The online-reschedule search hedges against further heating by
-        // overweighting refresh energy; see `reschedule_refresh_weight`.
-        scheduler.model.costs.edram_refresh_pj *= config.reschedule_refresh_weight;
+        let template = eval.scheduler_for(design);
+        let cfg = template.cfg.clone();
+        let model = template.model;
+        let kind = template.refresh.kind;
+        let nominal_interval_us = template.refresh.interval_us;
         let dist = eval.retention().clone();
+        let tolerable_us = dist.tolerable_retention_us(config.target_rate);
+        let governor = RetentionGovernor::new(template, tolerable_us, thermal);
         let base = eval.evaluate(net, design).schedule;
         let conservative = eval
             .evaluate_with_refresh(
@@ -543,8 +487,8 @@ impl AdaptiveRuntime {
             )
             .schedule;
         let layers = net.conv_layers().map(SchedLayer::from_conv).collect();
-        let divider = ClockDivider::for_interval(cfg.frequency_hz, nominal_interval_us);
-        let interval_us = divider.pulse_period_us(cfg.frequency_hz);
+        let divider = governor.nominal_divider();
+        let interval_us = governor.nominal_interval_us();
         let report = AdaptiveReport {
             network: net.name().to_string(),
             design: design.label().to_string(),
@@ -558,16 +502,14 @@ impl AdaptiveRuntime {
         Self {
             cfg,
             model,
-            scheduler,
+            governor,
             cache: ScheduleCache::new(),
             layers,
             base,
             conservative,
             kind,
             strategy: Strategy::for_kind(kind),
-            base_tolerable_us: dist.tolerable_retention_us(config.target_rate),
             dist,
-            nominal_interval_us,
             thermal,
             config,
             report,
@@ -624,33 +566,13 @@ impl AdaptiveRuntime {
         self.strategy = strategy;
     }
 
-    /// Quantized sensor reading for a junction temperature: rounded *up*
-    /// to the sensor resolution (pessimistic for retention).
-    fn sense(&self, temp_c: f64) -> f64 {
-        let q = self.config.sensor_quantum_c;
-        (temp_c / q).ceil() * q
-    }
-
-    /// Largest ladder rung `nominal · 2^(−k/steps)` (integer `k ≥ 0`) that
-    /// does not exceed `safe_us`. The ladder caps the number of distinct
-    /// divider settings (and therefore online-reschedule cache entries) at
-    /// `steps` per octave of derating.
-    fn ladder_interval_us(&self, safe_us: f64) -> f64 {
-        ladder_rung_us(self.nominal_interval_us, safe_us, self.config.ladder_steps_per_octave)
-    }
-
     /// The oracle interval: the ladder rung the policy would pick if it
     /// knew the run's peak temperature in advance. A static policy fixed
     /// at this interval is safe for the whole run and is the tightest such
     /// single setting the ladder offers — the bench's upper-efficiency
     /// bracket.
     pub fn oracle_interval_us(&self) -> f64 {
-        let sensed = self.sense(self.report.peak_temp_c());
-        let tolerable = self.base_tolerable_us * scale_for_delta(self.thermal.delta_c(sensed));
-        let rung = self.ladder_interval_us(tolerable * self.config.retention_margin);
-        // Quantize to the divider exactly as the adaptive loop does.
-        ClockDivider::for_interval(self.cfg.frequency_hz, rung)
-            .pulse_period_us(self.cfg.frequency_hz)
+        self.governor.rung(self.report.peak_temp_c()).interval_us
     }
 
     /// The static-oracle bracket: the same policy machinery with perfect
@@ -662,8 +584,7 @@ impl AdaptiveRuntime {
     /// run, since the oracle needs the realized peak temperature.
     pub fn oracle_static_run(&self, scenario: &Scenario) -> StaticRun {
         let interval_us = self.oracle_interval_us();
-        let mut s = self.scheduler.clone();
-        s.refresh = RefreshModel { interval_us, kind: self.kind };
+        let s = self.governor.hedged(self.governor.template(), interval_us);
         let layers = self
             .layers
             .iter()
@@ -750,20 +671,13 @@ impl AdaptiveRuntime {
     /// schedule → account → heat.
     fn adapt_layer(&mut self, pass: usize, idx: usize) -> LayerAdaptation {
         // Thermal throttle: if the previous layer left the die above the
-        // throttle temperature, idle (zero power) until it cools back to
-        // the cap before launching this layer. The exact RC solution gives
-        // the required idle in closed form:
-        //   T(dt) = amb + (T0 − amb)·e^(−dt/τ)  =  throttle
-        //   dt = τ·ln((T0 − amb) / (throttle − amb))
-        // This bounds the refresh → heat → tighter-interval feedback loop
-        // the same way DVFS duty-cycling bounds a thermal runaway.
+        // cap, idle (zero power) until it cools back before launching this
+        // layer.
         let mut throttle_us = 0.0;
-        if self.temp_c > self.config.throttle_temp_c {
-            let amb = self.thermal.ambient_c;
-            throttle_us = self.thermal.tau_us
-                * ((self.temp_c - amb) / (self.config.throttle_temp_c - amb)).ln();
-            self.temp_c = self.config.throttle_temp_c;
-            self.now_us += throttle_us;
+        if let Some(dt) = self.governor.throttle_us(self.temp_c) {
+            throttle_us = dt;
+            self.temp_c = THROTTLE_TEMP_C;
+            self.now_us += dt;
             self.report.trajectory.push(TrajectoryPoint {
                 t_us: self.now_us,
                 temp_c: self.temp_c,
@@ -771,19 +685,14 @@ impl AdaptiveRuntime {
             });
         }
         let start_temp_c = self.temp_c;
-        let sensed_c = self.sense(start_temp_c);
-        let tolerable_us = self.base_tolerable_us * scale_for_delta(self.thermal.delta_c(sensed_c));
-        let safe_us = tolerable_us * self.config.retention_margin;
-        let rung_us = self.ladder_interval_us(safe_us);
-
-        let divider = ClockDivider::for_interval(self.cfg.frequency_hz, rung_us);
-        let retuned = divider.ratio() != self.divider.ratio();
+        let rung = self.governor.rung(start_temp_c);
+        let (sensed_c, tolerable_us) = (rung.sensed_c, rung.tolerable_us);
+        let retuned = rung.divider != self.divider;
         if retuned {
-            self.divider = divider;
-            self.interval_us = divider.pulse_period_us(self.cfg.frequency_hz);
+            self.divider = rung.divider;
+            self.interval_us = rung.interval_us;
         }
         let interval_us = self.interval_us;
-        let refresh_now = RefreshModel { interval_us, kind: self.kind };
 
         // Decision rule (DESIGN.md): keep the base schedule iff it stays
         // refresh-free under the current interval; otherwise fall back.
@@ -797,8 +706,7 @@ impl AdaptiveRuntime {
                     (ScheduleSource::Conservative, self.conservative.layers[idx].clone())
                 }
                 FallbackPolicy::Reschedule => {
-                    let mut s = self.scheduler.clone();
-                    s.refresh = refresh_now;
+                    let s = self.governor.hedged(self.governor.template(), interval_us);
                     (
                         ScheduleSource::Rescheduled,
                         s.schedule_layer_memo(&self.layers[idx], &self.cache),
@@ -881,44 +789,6 @@ impl AdaptiveRuntime {
             energy,
         }
     }
-}
-
-/// Retention scale factor for a temperature delta: `2^(−ΔT/10)` (retention
-/// roughly halves per +10 °C of junction temperature).
-pub fn scale_for_delta(delta_c: f64) -> f64 {
-    (-delta_c / 10.0).exp2()
-}
-
-/// Longest scheduled data lifetime of a layer schedule, µs: the quantity a
-/// refresh-free execution must keep below the operating interval.
-pub fn crit_us(l: &LayerSchedule) -> f64 {
-    l.sim.lifetimes.critical_intervals().into_iter().fold(0.0, f64::max)
-}
-
-/// Largest interval-ladder rung `nominal · 2^(−k/steps)` (integer `k ≥ 0`)
-/// that does not exceed `safe_us`. Shared by the adaptive runtime and the
-/// serving simulator: quantizing the operating interval onto one ladder
-/// caps the number of distinct scheduling contexts (and therefore memo
-/// cache entries) at `steps_per_octave` per octave of derating.
-///
-/// # Panics
-///
-/// Panics if `safe_us` is not positive.
-pub fn ladder_rung_us(nominal_us: f64, safe_us: f64, steps_per_octave: u32) -> f64 {
-    if safe_us >= nominal_us {
-        return nominal_us;
-    }
-    assert!(safe_us > 0.0, "safe interval must be positive, got {safe_us}");
-    let steps = f64::from(steps_per_octave);
-    let mut k = (steps * (nominal_us / safe_us).log2()).ceil();
-    let mut rung = nominal_us * (-k / steps).exp2();
-    // ceil() can land exactly on safe_us's rung and float rounding can
-    // leave it a hair above; step down once more if so.
-    while rung > safe_us {
-        k += 1.0;
-        rung = nominal_us * (-k / steps).exp2();
-    }
-    rung
 }
 
 // ---------------------------------------------------------------------------
@@ -1251,22 +1121,6 @@ mod tests {
         rt.idle(200_000.0);
         assert!(rt.temp_c() < hot);
         assert!(rt.temp_c() >= ThermalModel::embedded_65nm().ambient_c - 1e-9);
-    }
-
-    #[test]
-    fn ladder_rungs_are_quantized() {
-        let rt = runtime(FallbackPolicy::Conservative);
-        let nominal = rt.nominal_interval_us;
-        let steps = f64::from(rt.config.ladder_steps_per_octave);
-        for safe in [700.0, 500.0, 300.0, 120.0, 50.0] {
-            let rung = rt.ladder_interval_us(safe);
-            assert!(rung <= safe);
-            let k = steps * (nominal / rung).log2();
-            assert!((k - k.round()).abs() < 1e-6, "rung {rung} is not on the ladder");
-            // And the next rung up would overshoot.
-            let up = nominal * (-(k.round() - 1.0) / steps).exp2();
-            assert!(up > safe);
-        }
     }
 
     #[test]

@@ -13,7 +13,8 @@
 //! ```
 //!
 //! The `precompile` subcommand batch-compiles a network zoo across
-//! design points, bank partitions, and thermal-ladder rungs into a
+//! design points, bank partitions, and the retention governor's
+//! thermal-ladder rungs (`rana_core::governor`) into a
 //! persistent schedule store (see `docs/SCHEDULE_CACHE.md`) that
 //! `rana-serve` and `rana-fleet` warm-start from:
 //!
@@ -43,7 +44,8 @@ const USAGE: &str = "usage: rana-compile <alexnet|vgg|googlenet|resnet|mobilenet
     [--design <s-id|ed-id|ed-od|rana0|rana-e5|rana-star>] \
     [--capacity <factor>] [--input <pixels>] [--with-fc] [--json <path>] [--summary]\n\
        rana-compile precompile --out <path> [--networks <a,b,..|all>] [--designs <a,b,..>] \
-    [--banks <n,n,..>] [--octaves <n>] [--steps <n>] [--weight <f>]";
+    [--banks <n,n,..>] [--octaves <n>]\n\
+       (--octaves: octaves of derating on the rana_core::governor interval ladder)";
 
 fn parse_design(v: &str) -> Result<Design, String> {
     match v {
@@ -159,20 +161,6 @@ fn run_precompile(mut args: std::env::Args) -> Result<(), String> {
                     .ok_or("--octaves needs a value")?
                     .parse()
                     .map_err(|e| format!("bad octave count: {e}"))?;
-            }
-            "--steps" => {
-                spec.ladder_steps_per_octave = args
-                    .next()
-                    .ok_or("--steps needs a value")?
-                    .parse()
-                    .map_err(|e| format!("bad step count: {e}"))?;
-            }
-            "--weight" => {
-                spec.reschedule_refresh_weight = args
-                    .next()
-                    .ok_or("--weight needs a value")?
-                    .parse()
-                    .map_err(|e| format!("bad refresh weight: {e}"))?;
             }
             "--help" | "-h" => return Err(USAGE.to_string()),
             other => return Err(format!("unknown flag '{other}'\n{USAGE}")),

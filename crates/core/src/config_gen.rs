@@ -11,6 +11,10 @@ use crate::scheduler::NetworkSchedule;
 use rana_accel::{AcceleratorConfig, LayerSim, RefreshModel};
 use rana_edram::{BankAllocation, ClockDivider, DataType, UnifiedBuffer};
 
+// The workspace's deterministic JSON writers, re-exported for the report
+// writers built on this crate.
+pub use rana_trace::{json_f64, json_string};
+
 /// Configuration of one layer.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LayerConfig {
@@ -159,45 +163,6 @@ impl LayerwiseConfig {
         } else {
             disabled as f64 / total as f64
         }
-    }
-}
-
-/// Escapes a string as a JSON string literal.
-///
-/// Shared by every deterministic report writer in the workspace (the
-/// adaptive runtime, the serving simulator, the experiment binaries):
-/// byte-identical output for identical input is the contract the
-/// determinism tests lock.
-pub fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-/// Formats an f64 so it round-trips as a JSON number.
-///
-/// Companion of [`json_string`]; `{x}` formatting is shortest-round-trip,
-/// so equal doubles always serialize to equal bytes.
-pub fn json_f64(x: f64) -> String {
-    if x.is_finite() {
-        let s = format!("{x}");
-        // Bare integers are valid JSON numbers, keep them short.
-        s
-    } else {
-        // JSON has no NaN/inf; null is the conventional stand-in.
-        "null".to_string()
     }
 }
 

@@ -45,6 +45,7 @@ pub mod designs;
 pub mod energy;
 pub mod evaluate;
 pub mod exec_batch;
+pub mod governor;
 pub mod par;
 pub mod report;
 pub mod runtime;

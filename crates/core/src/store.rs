@@ -63,18 +63,16 @@
 //! [`Scheduler::layer_key`]: crate::scheduler::Scheduler::layer_key
 //! [`Strategy::memo_key`]: rana_policy::Strategy::memo_key
 
-use crate::adaptive::crit_us;
 use crate::config_gen::json_string;
 use crate::designs::Design;
 use crate::energy::EnergyBreakdown;
 use crate::evaluate::Evaluator;
+use crate::governor::{crit_us, RetentionGovernor};
 use crate::par::ScheduleCache;
 use crate::scheduler::LayerSchedule;
 use rana_accel::fingerprint::{Fingerprint, Fnv1a};
-use rana_accel::{
-    LayerSim, Lifetimes, Pattern, RefreshModel, SchedLayer, Storage, Tiling, Traffic,
-};
-use rana_edram::{ClockDivider, EnergyCosts};
+use rana_accel::{LayerSim, Lifetimes, Pattern, SchedLayer, Storage, Tiling, Traffic};
+use rana_edram::EnergyCosts;
 use rana_policy::Strategy;
 use rana_zoo::Network;
 use std::collections::HashMap;
@@ -652,14 +650,10 @@ pub struct PrecompileSpec {
     /// serve warm start needs each tenant's bank count (and the full
     /// buffer, which `Server::new`'s isolated-latency probes use).
     pub bank_counts: Vec<usize>,
-    /// Octaves of thermal derating to cover below the nominal interval.
+    /// Octaves of thermal derating to cover below the nominal interval,
+    /// at the governor's
+    /// [`LADDER_STEPS_PER_OCTAVE`](crate::governor::LADDER_STEPS_PER_OCTAVE).
     pub ladder_octaves: u32,
-    /// Rungs per octave — must match the serving configuration's
-    /// `ladder_steps_per_octave` for the rung bit patterns to coincide.
-    pub ladder_steps_per_octave: u32,
-    /// Refresh-cost hedge applied to online reschedules (the serving
-    /// loops' `reschedule_refresh_weight`; PR 3 semantics).
-    pub reschedule_refresh_weight: f64,
     /// Strategies to tag entries with. Stage-2 results are
     /// strategy-invariant, so the grid collapses: each entry is stored
     /// once, tagged with the first strategy listed (or the design's
@@ -669,14 +663,12 @@ pub struct PrecompileSpec {
 
 impl Default for PrecompileSpec {
     /// The paper serving operating point: full buffer, four octaves of
-    /// derating at four rungs per octave, 4× reschedule hedge.
+    /// derating.
     fn default() -> Self {
         Self {
             designs: vec![Design::RanaStarE5],
             bank_counts: Vec::new(),
             ladder_octaves: 4,
-            ladder_steps_per_octave: 4,
-            reschedule_refresh_weight: 4.0,
             strategies: Vec::new(),
         }
     }
@@ -696,30 +688,32 @@ pub struct PrecompileStats {
 /// Runs the Stage-2 searches for `networks` across `spec`'s grid and
 /// inserts every finished schedule into `store`.
 ///
-/// Mirrors the serving loops exactly: for each (design, bank count) it
-/// compiles the base schedule at the design's nominal refresh, then for
-/// each divider-quantized ladder rung compiles hedged reschedules for
-/// the layers whose critical lifetime exceeds the rung — the same
-/// keep-base-iff-refresh-free rule `rana-serve` and `rana-fleet` apply
-/// online, so warm-started runs hit on every key.
+/// For each (design, bank count) it compiles the base schedule at the
+/// design's nominal refresh, then for each of the
+/// [`RetentionGovernor::rungs`] compiles hedged reschedules for the
+/// layers whose critical lifetime exceeds the rung — the keep-base-iff-
+/// refresh-free rule of the governor's
+/// [`ProfileCache`](crate::governor::ProfileCache), which `rana-serve` and
+/// `rana-fleet` apply online, so warm-started runs hit on every key.
 pub fn precompile(
     eval: &Evaluator,
     networks: &[Network],
     spec: &PrecompileSpec,
     store: &mut ScheduleStore,
 ) -> PrecompileStats {
-    assert!(spec.ladder_steps_per_octave >= 1, "ladder needs at least one step per octave");
     let cache = ScheduleCache::new();
     // key → (layer_fp, ctx_fp, interval, strategy) provenance, recorded
     // alongside every search so the harvest below can annotate entries.
     let mut meta: HashMap<u64, (u64, u64, f64, (u8, u64))> = HashMap::new();
-    let rungs = (spec.ladder_octaves * spec.ladder_steps_per_octave) as usize + 1;
+    let mut rungs = 0;
 
     for &design in &spec.designs {
-        let template = eval.scheduler_for(design);
+        let governor = RetentionGovernor::for_design(eval, design);
+        let template = governor.template();
         let nominal_us = template.refresh.interval_us;
-        let frequency_hz = template.cfg.frequency_hz;
         let kind = template.refresh.kind;
+        let intervals = governor.rungs(spec.ladder_octaves);
+        rungs = intervals.len();
         let strategy =
             spec.strategies.first().copied().unwrap_or(Strategy::for_kind(kind)).memo_key();
         let full = template.cfg.buffer.num_banks;
@@ -742,17 +736,8 @@ pub fn precompile(
                         strategy,
                     ));
                 }
-                let steps = f64::from(spec.ladder_steps_per_octave);
-                for k in 0..rungs {
-                    // The exact rung expression of `ladder_rung_us`,
-                    // then the divider quantization the serving loops
-                    // apply — bit-identical interval keys.
-                    let rung_us = nominal_us * (-(k as f64) / steps).exp2();
-                    let interval_us = ClockDivider::for_interval(frequency_hz, rung_us)
-                        .pulse_period_us(frequency_hz);
-                    let mut hedged = base.clone();
-                    hedged.refresh = RefreshModel { interval_us, kind };
-                    hedged.model.costs.edram_refresh_pj *= spec.reschedule_refresh_weight;
+                for &interval_us in &intervals {
+                    let hedged = governor.hedged(&base, interval_us);
                     let hedged_ctx = hedged.fingerprint();
                     for (idx, base_layer) in base_sched.layers.iter().enumerate() {
                         if crit_us(base_layer) < interval_us {
@@ -797,11 +782,7 @@ mod tests {
     fn small_store() -> ScheduleStore {
         let eval = Evaluator::paper_platform();
         let mut store = ScheduleStore::new();
-        let spec = PrecompileSpec {
-            ladder_octaves: 1,
-            ladder_steps_per_octave: 2,
-            ..PrecompileSpec::default()
-        };
+        let spec = PrecompileSpec { ladder_octaves: 1, ..PrecompileSpec::default() };
         precompile(&eval, &[rana_zoo::alexnet()], &spec, &mut store);
         store
     }

@@ -9,7 +9,8 @@
 //! at fleet scale?
 //!
 //! * every die carries its own lumped-RC thermal state, refresh-divider
-//!   setting and warm-schedule set; batch dispatch runs the full PR 3
+//!   setting and warm-schedule set; batch dispatch runs the
+//!   [`RetentionGovernor`](rana_core::governor::RetentionGovernor)'s
 //!   sense → retention-derate → ladder-rung → retune loop per die;
 //! * per-tenant arrival processes draw from RNG streams split off the
 //!   fleet seed ([`rana_des::Streams`]), so adding a tenant or resizing
@@ -83,13 +84,11 @@
 #![warn(missing_docs)]
 
 pub mod die;
-pub mod profile;
 pub mod report;
 pub mod router;
 pub mod sim;
 
 pub use die::{Die, DieState, FleetRequest};
-pub use profile::{FleetProfile, ProfileCache};
 pub use report::{FleetReport, FleetTenantReport, LatencySummary};
 pub use router::RouterPolicy;
 pub use sim::{FailureEvent, FailureKind, FleetConfig, FleetSim, ROUTER_STREAM};

@@ -17,17 +17,15 @@
 //! another tenant's arrival sequence.
 
 use crate::die::{Die, DieState, FleetRequest, InFlight};
-use crate::profile::ProfileCache;
 use crate::report::{FleetReport, FleetTenantReport, LatencySummary};
 use crate::router::RouterPolicy;
-use rana_core::adaptive::{ladder_rung_us, scale_for_delta};
 use rana_core::designs::Design;
 use rana_core::energy::EnergyBreakdown;
 use rana_core::evaluate::Evaluator;
+use rana_core::governor::{ProfileCache, RetentionGovernor};
 use rana_core::policy::Strategy;
 use rana_des::{EventQueue, Streams};
 use rana_edram::thermal::ThermalModel;
-use rana_edram::ClockDivider;
 use rana_metrics::HistF64;
 use rana_serve::traffic::{self, TrafficModel};
 use rana_serve::TenantSpec;
@@ -114,14 +112,6 @@ pub struct FleetConfig {
     /// prices compilation as free. Distinct from `sched_penalty_us`,
     /// which models the per-die warm-set fill.
     pub compile_penalty_us: f64,
-    /// Safety margin on the tolerable retention time (PR 3 semantics).
-    pub retention_margin: f64,
-    /// Temperature sensor resolution, °C (samples quantize up).
-    pub sensor_quantum_c: f64,
-    /// Interval-ladder resolution, rungs per octave of derating.
-    pub ladder_steps_per_octave: u32,
-    /// Hedged refresh pricing for online reschedules (PR 3 semantics).
-    pub reschedule_refresh_weight: f64,
     /// Per-die refresh-strategy mix: die `i` runs `strategies[i % len]`.
     /// Empty (the default) leaves every die on the design's controller
     /// kind — the byte-compatible legacy path. A pinned die strategy
@@ -134,8 +124,7 @@ pub struct FleetConfig {
 
 impl FleetConfig {
     /// Paper-platform defaults: RANA*(E-5) dies, 16-deep queues, no
-    /// sharding, 5 ms cold-schedule penalty, the PR 3 thermal-policy
-    /// constants, and no failures.
+    /// sharding, 5 ms cold-schedule penalty, and no failures.
     pub fn paper(
         tenants: Vec<TenantSpec>,
         traffic: TrafficModel,
@@ -155,10 +144,6 @@ impl FleetConfig {
             shard_size: None,
             sched_penalty_us: 5_000.0,
             compile_penalty_us: 0.0,
-            retention_margin: 0.85,
-            sensor_quantum_c: 0.25,
-            ladder_steps_per_octave: 4,
-            reschedule_refresh_weight: 4.0,
             strategies: Vec::new(),
             failures: Vec::new(),
         }
@@ -213,6 +198,9 @@ struct TenantStats {
 pub struct FleetSim<'a> {
     config: FleetConfig,
     thermal: ThermalModel,
+    /// Simulator memoization of inference profiles, shared by every die
+    /// (each runs the whole buffer). A die never pays for it: the modeled
+    /// schedule cache a die must fill is its warm set ([`Die::warm`]).
     profiles: ProfileCache<'a>,
     dies: Vec<Die>,
     disrupted: Vec<bool>,
@@ -223,10 +211,6 @@ pub struct FleetSim<'a> {
     plan: Vec<FailureEvent>,
     router_rng: StdRng,
     rr: usize,
-    frequency_hz: f64,
-    nominal_interval_us: f64,
-    nominal_rung_us: f64,
-    base_tolerable_us: f64,
     tenants: Vec<TenantStats>,
     latency: HistF64,
     queue_wait: HistF64,
@@ -268,12 +252,6 @@ impl<'a> FleetSim<'a> {
         assert!(config.queue_cap >= 1, "queue cap must be at least 1");
         assert!(config.sched_penalty_us >= 0.0, "cold penalty must be non-negative");
         assert!(config.compile_penalty_us >= 0.0, "compile penalty must be non-negative");
-        assert!(
-            config.retention_margin > 0.0 && config.retention_margin <= 1.0,
-            "retention margin must be in (0, 1]"
-        );
-        assert!(config.sensor_quantum_c > 0.0, "sensor quantum must be positive");
-        assert!(config.ladder_steps_per_octave >= 1, "ladder needs at least one step per octave");
         for f in &config.failures {
             assert!(
                 f.die < config.num_dies,
@@ -287,14 +265,10 @@ impl<'a> FleetSim<'a> {
             assert!(s >= 1, "shards must hold at least one die");
         }
 
-        let template = eval.scheduler_for(config.design);
-        let thermal = ThermalModel::embedded_65nm();
-        let frequency_hz = template.cfg.frequency_hz;
-        let nominal_interval_us = template.refresh.interval_us;
-        let nominal_divider = ClockDivider::for_interval(frequency_hz, nominal_interval_us);
-        let nominal_rung_us = nominal_divider.pulse_period_us(frequency_hz);
-        let base_tolerable_us =
-            eval.retention().tolerable_retention_us(config.design.failure_rate());
+        let governor = RetentionGovernor::for_design(eval, config.design);
+        let thermal = governor.thermal();
+        let nominal_divider = governor.nominal_divider();
+        let min_interval_us = governor.nominal_interval_us();
 
         let n = config.num_dies;
         let dies = (0..n).map(|_| Die::new(thermal.ambient_c, nominal_divider.ratio())).collect();
@@ -321,7 +295,7 @@ impl<'a> FleetSim<'a> {
                 .then((a.kind as u8).cmp(&(b.kind as u8)))
         });
         let router_rng = Streams::new(config.seed).rng(ROUTER_STREAM);
-        let profiles = ProfileCache::new(eval, template, config.reschedule_refresh_weight);
+        let profiles = ProfileCache::new(eval, governor, "fleet/");
         let tenants = (0..nt).map(|_| TenantStats::default()).collect();
 
         Self {
@@ -337,17 +311,13 @@ impl<'a> FleetSim<'a> {
             plan,
             router_rng,
             rr: 0,
-            frequency_hz,
-            nominal_interval_us,
-            nominal_rung_us,
-            base_tolerable_us,
             tenants,
             latency: HistF64::new(),
             queue_wait: HistF64::new(),
             energy: EnergyBreakdown::default(),
             wasted_j: 0.0,
             refresh_words: 0,
-            min_interval_us: nominal_rung_us,
+            min_interval_us,
             makespan_us: 0.0,
             active_disruptions: 0,
             disrupted_offered: 0,
@@ -522,17 +492,9 @@ impl<'a> FleetSim<'a> {
         self.dies[d].temp_c = self.thermal.step(self.dies[d].temp_c, 0.0, idle_us);
         self.dies[d].last_update_us = t;
 
-        // Sense → tolerable retention → ladder rung → divider (PR 3).
-        let q = self.config.sensor_quantum_c;
-        let sensed_c = (self.dies[d].temp_c / q).ceil() * q;
-        let tolerable_us = self.base_tolerable_us * scale_for_delta(self.thermal.delta_c(sensed_c));
-        let rung_us = ladder_rung_us(
-            self.nominal_interval_us,
-            tolerable_us * self.config.retention_margin,
-            self.config.ladder_steps_per_octave,
-        );
-        let divider = ClockDivider::for_interval(self.frequency_hz, rung_us);
-        let interval_us = divider.pulse_period_us(self.frequency_hz);
+        // The fleet does not throttle: dies shed heat only while idle.
+        let rung = self.profiles.governor().rung(self.dies[d].temp_c);
+        let (divider, interval_us) = (rung.divider, rung.interval_us);
         if divider.ratio() != self.dies[d].divider_ratio {
             self.dies[d].divider_ratio = divider.ratio();
             self.dies[d].retunes += 1;
@@ -554,10 +516,12 @@ impl<'a> FleetSim<'a> {
             }
         }
 
+        let banks = self.profiles.governor().template().cfg.buffer.num_banks;
         let strategy = self.config.die_strategy(d, tn);
-        let (profile, fresh) = self.profiles.profile_with_stats(
+        let (profile, fresh) = self.profiles.profile(
             tn,
             &self.config.tenants[tn].network,
+            banks,
             interval_us,
             strategy,
         );
@@ -569,22 +533,10 @@ impl<'a> FleetSim<'a> {
             0.0
         };
         self.compile_stall_us += compile_stall_us;
-        let reload_j = self.profiles.reload_j(&profile);
-        let b = batch.len() as f64;
-        // Weights stay resident across the batch: requests 2..B skip the
-        // weight DRAM loads.
-        let mut energy = EnergyBreakdown {
-            computing_j: profile.energy.computing_j * b,
-            buffer_j: profile.energy.buffer_j * b,
-            refresh_j: profile.energy.refresh_j * b,
-            offchip_j: (profile.energy.offchip_j * b - (b - 1.0) * reload_j).max(0.0),
-        };
-        if energy.offchip_j < 0.0 {
-            energy.offchip_j = 0.0;
-        }
-        let time_us = profile.time_us * b
-            + if cold { self.config.sched_penalty_us } else { 0.0 }
-            + compile_stall_us;
+        let (energy, batch_us) = profile.batch(batch.len());
+        let refresh_words = profile.refresh_words * batch.len() as u64;
+        let time_us =
+            batch_us + if cold { self.config.sched_penalty_us } else { 0.0 } + compile_stall_us;
         let power_w = energy.accelerator_j() / (time_us * 1e-6);
         let completion =
             self.events.schedule(t + time_us, CLASS_COMPLETION, FleetEvent::Completion { die: d });
@@ -594,7 +546,7 @@ impl<'a> FleetSim<'a> {
             time_us,
             energy,
             power_w,
-            refresh_words: profile.refresh_words * b as u64,
+            refresh_words,
             completion,
         });
         self.dies[d].batches += 1;
@@ -804,7 +756,7 @@ impl<'a> FleetSim<'a> {
                 .map(|d| d.peak_temp_c)
                 .fold(self.thermal.ambient_c, f64::max),
             min_interval_us: self.min_interval_us,
-            nominal_interval_us: self.nominal_rung_us,
+            nominal_interval_us: self.profiles.governor().nominal_interval_us(),
             makespan_us: self.makespan_us,
             die_served_min,
             die_served_max,

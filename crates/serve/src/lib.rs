@@ -15,7 +15,7 @@
 //!   per-tenant refresh-flag/divider state, and the thermal closed loop —
 //!   sustained load heats the die ([`rana_edram::thermal`]), the sensed
 //!   temperature tightens the refresh-interval ladder of
-//!   [`rana_core::adaptive`], and layers whose scheduled data lifetimes no
+//!   [`rana_core::governor`], and layers whose scheduled data lifetimes no
 //!   longer fit are rescheduled online through the shared memoized
 //!   scheduler;
 //! * [`metrics`] — latency percentiles and the deterministic JSON report.

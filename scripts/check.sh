@@ -63,6 +63,11 @@ echo "== fleet smoke test =="
 echo "== policy smoke test =="
 ./target/release/exp_policies --smoke
 
+echo "== regenerate the deterministic BENCH artifacts the gate checks =="
+for exp in exp_thermal exp_serve exp_fleet exp_policies exp_metrics exp_trace; do
+    ./target/release/"$exp" > /dev/null
+done
+
 echo "== bench-regression gate =="
 ./scripts/bench_gate.sh
 

@@ -159,11 +159,7 @@ proptest! {
 
 #[test]
 fn precompiled_store_round_trips_and_matches_on_disk() {
-    let store = alexnet_store(PrecompileSpec {
-        ladder_octaves: 1,
-        ladder_steps_per_octave: 2,
-        ..PrecompileSpec::default()
-    });
+    let store = alexnet_store(PrecompileSpec { ladder_octaves: 1, ..PrecompileSpec::default() });
     let bytes = store.to_bytes();
     let restored = ScheduleStore::from_bytes(&bytes).expect("round trip");
     assert_eq!(restored, store);
@@ -178,11 +174,7 @@ fn precompiled_store_round_trips_and_matches_on_disk() {
 
 #[test]
 fn bumped_model_version_hash_rejects_stale_stores() {
-    let store = alexnet_store(PrecompileSpec {
-        ladder_octaves: 1,
-        ladder_steps_per_octave: 1,
-        ..PrecompileSpec::default()
-    });
+    let store = alexnet_store(PrecompileSpec { ladder_octaves: 1, ..PrecompileSpec::default() });
     // A store written by a build whose energy model hashed differently.
     let stale = store.to_bytes_with_hash(model_version_hash() ^ 0xdead_beef);
     match ScheduleStore::from_bytes(&stale) {
