@@ -20,18 +20,35 @@
 //!   per operand, one MAC at a time. Kept as the golden model.
 //! * [`Engine::Blocked`] — the default: resolves charge decay once per
 //!   buffer *row* (with per-word access multiplicities so read/fault
-//!   accounting matches the scalar engine exactly), then runs the MAC
-//!   nest over contiguous scratch rows with rounded products accumulated
-//!   in 32-bit lanes the compiler autovectorizes (or, with the `simd`
-//!   cargo feature, explicit SSE2 kernels). All reads in a tile resolve
-//!   at the same timestamp and resolution is pure, so hoisting them is
-//!   observationally equivalent.
+//!   accounting matches the scalar engine exactly), runs the MAC nest over
+//!   the resolved scratch, then writes the tile back one output row at a
+//!   time (partial read, write, final read-back). All reads in a tile
+//!   resolve at the same timestamp and resolution is pure, so hoisting
+//!   them is observationally equivalent.
+//!
+//! The blocked MAC nest puts its lanes on **output channels**, as the
+//! paper's PE array broadcasts one input to many output-channel PEs. Per
+//! tile, the resolved inputs are transposed once to `[iy][ix][ci]` and
+//! the weights to `[chunk][u][v][ci]` rows of 16 output channels (the
+//! last chunk zero-padded), so one kernel row of an output pixel is one
+//! contiguous run of `(v, ci)` terms whatever the stride. Each chunk
+//! accumulates the pixel's whole `ci × k × k` reduction in sixteen 32-bit
+//! lanes kept in vector registers, the input value broadcast to every
+//! lane. Stride-1 and strided layers share this path. Tiles with fewer than 8 channels
+//! (depthwise layers have one) would leave most lanes idle, so they keep
+//! **column lanes**: one row kernel per weight over the tile's output
+//! columns (the crossover was measured on 1×1, 3×3 and strided 5×5
+//! layers). Either way every product is rounded and shifted before it is
+//! accumulated, exactly as the scalar engine does, and the 32-bit lanes
+//! drain into 64 bits before they could overflow. Product shifts with no
+//! 32-bit lane plan (outside `1..=30`, or too few overflow-safe terms)
+//! take the column nest's 64-bit path at any tile width.
 //!
 //! Scope: the resident sets must fit the buffer (no spill modeling here —
 //! use small layers or a big buffer; the analytic engines cover spills).
 
 use crate::config::AcceleratorConfig;
-use crate::kernel;
+use crate::kernel::{self, I32Path};
 use crate::layer::SchedLayer;
 use crate::pattern::{LoopDim, Pattern, TileAxis, Tiling};
 use rana_edram::{EdramArray, RefreshConfig, RetentionDistribution};
@@ -268,18 +285,7 @@ pub fn execute_layer_with(
     let mut outputs = vec![0i16; o_words];
     let mut arena = ExecArena::default();
     let prod_shift = formats.prod_shift();
-    // 32-bit lane plan: per-term magnitude after the rounded shift is
-    // bounded by t_max, so max_terms partial sums always fit an i32 lane.
-    // Shifts outside 1..=30 (or too few safe terms to be worth draining)
-    // fall back to the shared i64 product path.
-    let i32_path = if (1..=30).contains(&prod_shift) {
-        let half = 1i32 << (prod_shift - 1);
-        let t_max = ((1i64 << 30) + i64::from(half)) >> prod_shift;
-        let max_terms = (i64::from(i32::MAX) / t_max) as usize;
-        (max_terms >= 16).then_some(I32Path { shift: prod_shift as u32, half, max_terms })
-    } else {
-        None
-    };
+    let i32_path = I32Path::for_shift(prod_shift);
 
     let order = pattern.loop_order();
     let axis_len = |d: LoopDim| match d {
@@ -556,14 +562,6 @@ fn shift_product(prod: i64, prod_shift: i32) -> i64 {
     }
 }
 
-/// Parameters of the 32-bit lane accumulation (None = i64 fallback).
-#[derive(Debug, Clone, Copy)]
-struct I32Path {
-    shift: u32,
-    half: i32,
-    max_terms: usize,
-}
-
 /// Everything a tile compute needs besides the buffer and outputs.
 struct TileCtx<'a> {
     layer: &'a SchedLayer,
@@ -605,12 +603,21 @@ struct ExecArena {
     w_mult: Vec<u64>,
     /// Decay-resolved input rows of the tile footprint.
     in_rows: Vec<i16>,
-    /// Decay-resolved k×k weight blocks of the tile.
+    /// Decay-resolved k×k weight blocks of the tile, `[m][ci][u][v]` as
+    /// the buffer stores them.
     w_block: Vec<i16>,
-    /// 32-bit accumulator lanes (one per output column of the tile).
+    /// Channel-lane weights: `w_block` transposed once per tile to
+    /// `[chunk][u][v][ci]` rows of [`kernel::LANES`] output channels, the
+    /// last chunk zero-padded (a zero weight adds exactly nothing).
+    w_lanes: Vec<[i16; kernel::LANES]>,
+    /// Channel-lane inputs: `in_rows` transposed once per tile to
+    /// `[iy][ix][ci]`.
+    in_cols: Vec<i16>,
+    /// Column-lane 32-bit accumulators of narrow tiles (one per output
+    /// column of the tile).
     acc32: Vec<i32>,
-    /// 64-bit accumulators the lanes drain into.
-    acc64: Vec<i64>,
+    /// MAC sums of the tile before partials are added, `[m][oi][oj]`.
+    sums: Vec<i64>,
     /// Output-partial row scratch.
     part_row: Vec<i16>,
     /// Clamped writeback row scratch.
@@ -687,9 +694,18 @@ fn scalar_tile(ctx: &TileCtx<'_>, mem: &mut EdramArray, outputs: &mut [i16]) {
     }
 }
 
+/// The tile's input footprint, clipped to the feature map: `n_iy` rows
+/// from `iy_lo`, `row_w` columns from `ix_lo`, per input channel.
+struct Footprint {
+    iy_lo: usize,
+    n_iy: usize,
+    ix_lo: usize,
+    row_w: usize,
+}
+
 /// The blocked tile compute: charge decay resolved once per buffer row
-/// into arena scratch (with exact access multiplicities), then a
-/// lane-parallel MAC nest over contiguous rows.
+/// into arena scratch (with exact access multiplicities), a lane-parallel
+/// MAC nest over the resolved operands, then a row-by-row writeback.
 ///
 /// Equivalence to [`scalar_tile`] rests on two facts: every read of this
 /// tile resolves at the same timestamp `end`, and resolution is a pure
@@ -697,7 +713,9 @@ fn scalar_tile(ctx: &TileCtx<'_>, mem: &mut EdramArray, outputs: &mut [i16]) {
 /// reusing the value is indistinguishable from re-reading it, as long as
 /// reads/faults are accounted with the scalar engine's multiplicities:
 /// input word (ch, iy, ix) is read `tm_e · A(iy) · B(ix)` times, weight
-/// word (m, ch, u, v) `U(u) · V(v)` times.
+/// word (m, ch, u, v) `U(u) · V(v)` times. The MAC nest touches no buffer
+/// word; the writeback then visits the output rows in `(m, oi)` order,
+/// as the scalar engine visits their words.
 fn blocked_tile(
     ctx: &TileCtx<'_>,
     mem: &mut EdramArray,
@@ -718,7 +736,7 @@ fn blocked_tile(
     let ix_max = ((ctx.c0 + ctx.tc_e - 1) * s + k - 1) as isize - pad;
     let ix_lo = ix_min.max(0) as usize;
     let n_ix = (ix_max.min(ly.l as isize - 1) + 1 - ix_lo as isize).max(0) as usize;
-    let row_w = n_ix;
+    let fp = Footprint { iy_lo, n_iy, ix_lo, row_w: n_ix };
 
     let ExecArena {
         a_cnt,
@@ -728,8 +746,10 @@ fn blocked_tile(
         w_mult,
         in_rows,
         w_block,
+        w_lanes,
+        in_cols,
         acc32,
-        acc64,
+        sums,
         part_row,
         clamp_row,
     } = arena;
@@ -770,7 +790,7 @@ fn blocked_tile(
 
     // Resolve the tile's input rows and weight blocks once each, with the
     // multiplicities above charged to the access statistics.
-    let in_rows = grown(in_rows, ctx.tn_e * n_iy * row_w);
+    let in_rows = grown(in_rows, ctx.tn_e * n_iy * fp.row_w);
     for ci in 0..ctx.tn_e {
         let ch = ctx.n0 + ci;
         for (yi, &a) in a_cnt.iter().enumerate() {
@@ -778,7 +798,7 @@ fn blocked_tile(
                 continue; // row never touched by this tile (stride gap)
             }
             let addr = ctx.in_base + (ch * ly.h + iy_lo + yi) * ly.l + ix_lo;
-            let dst = &mut in_rows[(ci * n_iy + yi) * row_w..][..row_w];
+            let dst = &mut in_rows[(ci * n_iy + yi) * fp.row_w..][..fp.row_w];
             mem.read_row_weighted(addr, end, dst, b_mult, ctx.tm_e as u64 * a);
         }
     }
@@ -791,107 +811,38 @@ fn blocked_tile(
         }
     }
 
-    let acc32 = grown(acc32, ctx.tc_e);
-    let acc64 = grown(acc64, ctx.tc_e);
+    // MAC nest: lanes on output channels when the tile keeps at least
+    // half a chunk busy, on output columns otherwise (measured crossover).
+    // Shifts without an i32 path take the column nest's i64 fallback.
+    let sums = grown(sums, ctx.tm_e * ctx.tr_e * ctx.tc_e);
+    match ctx.i32_path {
+        Some(p) if 2 * ctx.tm_e >= kernel::LANES => {
+            channel_nest(ctx, p, &fp, in_rows, w_block, w_lanes, in_cols, sums);
+        }
+        _ => column_nest(ctx, &fp, in_rows, w_block, acc32, sums),
+    }
+
+    // Writeback, one output row at a time: add the running partial (OD
+    // rereads it from the buffer; ID/WD keep it in the PE accumulators,
+    // modeled by the stash in `outputs`), clamp, store.
     let part_row = grown(part_row, ctx.tc_e);
     let clamp_row = grown(clamp_row, ctx.tc_e);
-
-    for mi_ in 0..ctx.tm_e {
+    for (mi_, m_sums) in sums.chunks_exact(ctx.tr_e * ctx.tc_e).enumerate() {
         let m = ctx.m0 + mi_;
-        for oi_ in 0..ctx.tr_e {
-            let oi = ctx.r0 + oi_;
-            let out_row = (m * ly.r + oi) * ly.c + ctx.c0;
+        for (oi_, row_sums) in m_sums.chunks_exact(ctx.tc_e).enumerate() {
+            let out_row = (m * ly.r + ctx.r0 + oi_) * ly.c + ctx.c0;
             if ctx.first_n {
-                acc64.fill(0);
+                part_row.fill(0);
             } else {
                 match ctx.pattern {
-                    Pattern::Od => {
-                        mem.read_row_into(ctx.o_base + out_row, end, part_row);
-                        for (a, &p) in acc64.iter_mut().zip(part_row.iter()) {
-                            *a = i64::from(p);
-                        }
-                    }
+                    Pattern::Od => mem.read_row_into(ctx.o_base + out_row, end, part_row),
                     Pattern::Id | Pattern::Wd => {
-                        for (a, &p) in acc64.iter_mut().zip(&outputs[out_row..out_row + ctx.tc_e]) {
-                            *a = i64::from(p);
-                        }
+                        part_row.copy_from_slice(&outputs[out_row..out_row + ctx.tc_e]);
                     }
                 }
             }
-            acc32.fill(0);
-            let mut terms = 0usize;
-            for ci in 0..ctx.tn_e {
-                for u in 0..k {
-                    let iy = (oi * s + u) as isize - pad;
-                    if !(0..ly.h as isize).contains(&iy) {
-                        continue;
-                    }
-                    let x_row = &in_rows[(ci * n_iy + (iy as usize - iy_lo)) * row_w..][..row_w];
-                    for v in 0..k {
-                        let w = w_block[(mi_ * ctx.tn_e + ci) * k2 + u * k + v];
-                        // Output-column lanes whose input column is in
-                        // bounds: ix = base_ix + lane·s ∈ [0, l).
-                        let base_ix = (ctx.c0 * s + v) as isize - pad;
-                        let lane_lo =
-                            if base_ix >= 0 { 0 } else { ((-base_ix) as usize).div_ceil(s) };
-                        let lane_hi = if base_ix >= ly.l as isize {
-                            0
-                        } else {
-                            ((ly.l as isize - base_ix) as usize).div_ceil(s).min(ctx.tc_e)
-                        };
-                        if lane_lo >= lane_hi {
-                            continue;
-                        }
-                        let off0 = (base_ix + (lane_lo * s) as isize) as usize - ix_lo;
-                        match ctx.i32_path {
-                            Some(p) => {
-                                let lanes = &mut acc32[lane_lo..lane_hi];
-                                if s == 1 {
-                                    kernel::mac_row_s1(
-                                        lanes,
-                                        &x_row[off0..off0 + (lane_hi - lane_lo)],
-                                        w,
-                                        p.shift,
-                                        p.half,
-                                    );
-                                } else {
-                                    kernel::mac_row_strided(
-                                        lanes,
-                                        &x_row[off0..],
-                                        s,
-                                        w,
-                                        p.shift,
-                                        p.half,
-                                    );
-                                }
-                                // Lanes gain at most one term per kernel
-                                // call: drain before an i32 could overflow.
-                                terms += 1;
-                                if terms == p.max_terms {
-                                    terms = 0;
-                                    for (a64, a32) in acc64.iter_mut().zip(acc32.iter_mut()) {
-                                        *a64 += i64::from(*a32);
-                                        *a32 = 0;
-                                    }
-                                }
-                            }
-                            None => {
-                                let wv = i64::from(w);
-                                for (j, a64) in acc64[lane_lo..lane_hi].iter_mut().enumerate() {
-                                    let x = i64::from(x_row[off0 + j * s]);
-                                    *a64 += shift_product(x * wv, ctx.prod_shift);
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-            for (a64, a32) in acc64.iter_mut().zip(acc32.iter_mut()) {
-                *a64 += i64::from(*a32);
-                *a32 = 0;
-            }
-            for (c, &a) in clamp_row.iter_mut().zip(acc64.iter()) {
-                *c = a.clamp(i64::from(i16::MIN), i64::from(i16::MAX)) as i16;
+            for ((c, &sum), &p) in clamp_row.iter_mut().zip(row_sums).zip(part_row.iter()) {
+                *c = (sum + i64::from(p)).clamp(i64::from(i16::MIN), i64::from(i16::MAX)) as i16;
             }
             match ctx.pattern {
                 Pattern::Od => {
@@ -909,6 +860,173 @@ fn blocked_tile(
                 }
             }
         }
+    }
+}
+
+/// Kernel taps `lo..hi` whose input coordinate `base + tap` lies in
+/// `0..extent` (empty when none does).
+fn valid_taps(base: isize, extent: usize, k: usize) -> (usize, usize) {
+    let lo = (-base).clamp(0, k as isize);
+    let hi = (extent as isize - base).clamp(lo, k as isize);
+    (lo as usize, hi as usize)
+}
+
+/// Channel-lane MAC nest for tiles of at least `LANES / 2` output
+/// channels. The tile's inputs are transposed once to `[iy][ix][ci]` and
+/// its weights to `[chunk][u][v][ci]` rows of `LANES` output channels
+/// (the last chunk zero-padded), so for every stride one kernel row of
+/// an output pixel is one contiguous run of `(v, ci)` terms in both.
+/// Each chunk accumulates the pixel's whole `ci × k × k` reduction in one
+/// set of [`kernel::ChannelLanes`], the input value broadcast to every
+/// lane. Only shifts with an [`I32Path`] come here.
+#[allow(clippy::too_many_arguments)]
+fn channel_nest(
+    ctx: &TileCtx<'_>,
+    i32_path: I32Path,
+    fp: &Footprint,
+    in_rows: &[i16],
+    w_block: &[i16],
+    w_lanes: &mut Vec<[i16; kernel::LANES]>,
+    in_cols: &mut Vec<i16>,
+    sums: &mut [i64],
+) {
+    use kernel::LANES;
+    let ly = ctx.layer;
+    let (k, s, pad, tn) = (ly.k, ly.s, ly.pad as isize, ctx.tn_e);
+    let taps = tn * k * k;
+    let w_lanes = grown(w_lanes, ctx.tm_e.div_ceil(LANES) * taps);
+    for (c, chunk) in w_lanes.chunks_exact_mut(taps).enumerate() {
+        for (t, row) in chunk.iter_mut().enumerate() {
+            let (uv, ci) = (t / tn, t % tn);
+            for (j, w) in row.iter_mut().enumerate() {
+                let mi_ = c * LANES + j;
+                *w = if mi_ < ctx.tm_e { w_block[(mi_ * tn + ci) * k * k + uv] } else { 0 };
+            }
+        }
+    }
+    let footprint = fp.n_iy * fp.row_w;
+    let in_cols = grown(in_cols, tn * footprint);
+    for (p, col) in in_cols.chunks_exact_mut(tn).enumerate() {
+        for (ci, x) in col.iter_mut().enumerate() {
+            *x = in_rows[ci * footprint + p];
+        }
+    }
+    let plane = ctx.tr_e * ctx.tc_e;
+    for oi_ in 0..ctx.tr_e {
+        let iy0 = ((ctx.r0 + oi_) * s) as isize - pad;
+        let (u_lo, u_hi) = valid_taps(iy0, ly.h, k);
+        for oj_ in 0..ctx.tc_e {
+            let ix0 = ((ctx.c0 + oj_) * s) as isize - pad;
+            let (v_lo, v_hi) = valid_taps(ix0, ly.l, k);
+            let run = (v_hi - v_lo) * tn;
+            // Per in-bounds kernel row u: the inputs of taps (u, v_lo..v_hi)
+            // and the offset of their weight rows.
+            let rows = if run == 0 { 0..0 } else { u_lo..u_hi };
+            let runs = rows.map(|u| {
+                let y = (iy0 + u as isize) as usize - fp.iy_lo;
+                let x = (ix0 + v_lo as isize) as usize - fp.ix_lo;
+                (&in_cols[(y * fp.row_w + x) * tn..][..run], (u * k + v_lo) * tn)
+            });
+            for (c, chunk_w) in w_lanes.chunks_exact(taps).enumerate() {
+                let mut lanes = kernel::ChannelLanes::new(i32_path);
+                for (xs, w0) in runs.clone() {
+                    lanes.add_run(xs, &chunk_w[w0..][..run]);
+                }
+                let wide = lanes.finish();
+                let live = (ctx.tm_e - c * LANES).min(LANES);
+                for (j, &sum) in wide[..live].iter().enumerate() {
+                    sums[(c * LANES + j) * plane + oi_ * ctx.tc_e + oj_] = sum;
+                }
+            }
+        }
+    }
+}
+
+/// Column-lane MAC nest for tiles of fewer than `LANES / 2` output
+/// channels (depthwise layers have one), and the only i64 fallback for
+/// shifts outside the i32 path: for each (m, oi), lanes are the tile's
+/// output columns and every weight is one row-kernel call.
+fn column_nest(
+    ctx: &TileCtx<'_>,
+    fp: &Footprint,
+    in_rows: &[i16],
+    w_block: &[i16],
+    acc32: &mut Vec<i32>,
+    sums: &mut [i64],
+) {
+    let ly = ctx.layer;
+    let (k, s, pad) = (ly.k, ly.s, ly.pad as isize);
+    let k2 = k * k;
+    let acc32 = grown(acc32, ctx.tc_e);
+    for (i, acc64) in sums.chunks_exact_mut(ctx.tc_e).enumerate() {
+        let (mi_, oi) = (i / ctx.tr_e, ctx.r0 + i % ctx.tr_e);
+        acc64.fill(0);
+        acc32.fill(0);
+        let mut terms = 0usize;
+        for ci in 0..ctx.tn_e {
+            for u in 0..k {
+                let iy = (oi * s + u) as isize - pad;
+                if !(0..ly.h as isize).contains(&iy) {
+                    continue;
+                }
+                let x_row =
+                    &in_rows[(ci * fp.n_iy + (iy as usize - fp.iy_lo)) * fp.row_w..][..fp.row_w];
+                for v in 0..k {
+                    let w = w_block[(mi_ * ctx.tn_e + ci) * k2 + u * k + v];
+                    // Output-column lanes whose input column is in
+                    // bounds: ix = base_ix + lane·s ∈ [0, l).
+                    let base_ix = (ctx.c0 * s + v) as isize - pad;
+                    let lane_lo = if base_ix >= 0 { 0 } else { ((-base_ix) as usize).div_ceil(s) };
+                    let lane_hi = if base_ix >= ly.l as isize {
+                        0
+                    } else {
+                        ((ly.l as isize - base_ix) as usize).div_ceil(s).min(ctx.tc_e)
+                    };
+                    if lane_lo >= lane_hi {
+                        continue;
+                    }
+                    let off0 = (base_ix + (lane_lo * s) as isize) as usize - fp.ix_lo;
+                    match ctx.i32_path {
+                        Some(p) => {
+                            let lanes = &mut acc32[lane_lo..lane_hi];
+                            if s == 1 {
+                                kernel::mac_row_s1(
+                                    lanes,
+                                    &x_row[off0..off0 + (lane_hi - lane_lo)],
+                                    w,
+                                    p.shift,
+                                    p.half,
+                                );
+                            } else {
+                                kernel::mac_row_strided(
+                                    lanes,
+                                    &x_row[off0..],
+                                    s,
+                                    w,
+                                    p.shift,
+                                    p.half,
+                                );
+                            }
+                            // Lanes gain at most one term per kernel
+                            // call: drain before an i32 could overflow.
+                            terms += 1;
+                            if terms == p.max_terms {
+                                terms = 0;
+                                kernel::drain(acc64, acc32);
+                            }
+                        }
+                        None => {
+                            let wv = i64::from(w);
+                            for (j, a64) in acc64[lane_lo..lane_hi].iter_mut().enumerate() {
+                                let x = i64::from(x_row[off0 + j * s]);
+                                *a64 += shift_product(x * wv, ctx.prod_shift);
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        kernel::drain(acc64, acc32);
     }
 }
 
@@ -1125,6 +1243,71 @@ mod tests {
                 &BufferModel::Ideal,
             );
             assert_eq!(scalar, blocked, "{pattern}");
+        }
+    }
+
+    #[test]
+    fn engines_agree_on_channel_lane_tiles() {
+        // 37 output channels: tiles of 16, 32 and 37 take the channel-lane
+        // nest (one or two full chunks, padded remainders), the 5-wide
+        // leftovers the column-lane nest; strides 1 and 2 share the patch
+        // gather, padding included. Decayed and refreshed buffers too.
+        let mut cfg = slow_cfg(1e6);
+        cfg.buffer.bank_words = 4096;
+        let models = [
+            BufferModel::Ideal,
+            BufferModel::Edram {
+                dist: sharp_dist(),
+                seed: 3,
+                refresh: Some(RefreshConfig::conventional(45.0)),
+            },
+        ];
+        for s in [1, 2] {
+            let r = (9 + 2 - 3) / s + 1;
+            let layer = SchedLayer {
+                name: "wide".into(),
+                n: 3,
+                h: 9,
+                l: 9,
+                m: 37,
+                k: 3,
+                s,
+                r,
+                c: r,
+                pad: 1,
+                groups: 1,
+            };
+            let inputs: Vec<i16> = (0..3 * 81).map(|i| ((i * 91 + 5) % 211) as i16 - 105).collect();
+            let weights: Vec<i16> =
+                (0..37 * 3 * 9).map(|i| ((i * 43 + 3) % 97) as i16 - 48).collect();
+            for model in &models {
+                for pattern in Pattern::ALL {
+                    for tiling in [
+                        Tiling::new(16, 2, 2, 4),
+                        Tiling::new(37, 3, 3, 5),
+                        Tiling::new(32, 1, 4, 9),
+                    ] {
+                        let run = |engine| {
+                            execute_layer_with(
+                                engine,
+                                &layer,
+                                pattern,
+                                tiling,
+                                &cfg,
+                                &inputs,
+                                &weights,
+                                Formats::default(),
+                                model,
+                            )
+                        };
+                        assert_eq!(
+                            run(Engine::Scalar),
+                            run(Engine::Blocked),
+                            "s {s} {pattern} {tiling}"
+                        );
+                    }
+                }
+            }
         }
     }
 

@@ -138,11 +138,17 @@ impl EdramArray {
         self.stats.writes += 1;
     }
 
-    /// Writes a slice of words starting at `addr`.
+    /// Writes a slice of words starting at `addr`: one bulk copy and one
+    /// timestamp fill, counted as `values.len()` writes.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the slice runs past the end of the array.
     pub fn write_slice(&mut self, addr: usize, values: &[i16], now_us: f64) {
-        for (i, &v) in values.iter().enumerate() {
-            self.write(addr + i, v, now_us);
-        }
+        let end = addr + values.len();
+        self.words[addr..end].copy_from_slice(values);
+        self.written_at[addr..end].fill(now_us);
+        self.stats.writes += values.len() as u64;
     }
 
     /// Reads a word, injecting retention faults for cells older than their

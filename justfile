@@ -87,12 +87,6 @@ bench-policies:
     cargo build --release -p rana-bench
     ./target/release/exp_policies
 
-# SIMD feature leg: explicit-SSE2 tile kernels, same tests as the gate.
-test-simd:
-    cargo clippy -p rana-accel --features simd --all-targets -- -D warnings
-    cargo test -q -p rana-accel --features simd
-    cargo test -q --features simd --test exec_kernel_equivalence
-
 # Bench-regression gate: results/BENCH_*.json vs committed baselines/.
 bench-gate:
     ./scripts/bench_gate.sh

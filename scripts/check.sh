@@ -24,11 +24,6 @@ for _ in $(seq 10); do
         --test metrics_determinism
 done
 
-echo "== simd feature leg (build + engine tests) =="
-cargo clippy -p rana-accel --features simd --all-targets -- -D warnings
-cargo test -q -p rana-accel --features simd
-cargo test -q --features simd --test exec_kernel_equivalence
-
 echo "== rustdoc (deny warnings) =="
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
 
